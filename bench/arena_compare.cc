@@ -12,7 +12,7 @@
 // and reports, per (embedder, fleet size): acceptance rate, booked and
 // offered revenue, bisection-bandwidth fragmentation, fleet utilization,
 // migration churn, and the accept/reject decision fingerprint.  Everything
-// except wall-clock seconds is deterministic (seeded workload, fixed-chunk
+// except wall-clock seconds is deterministic (seeded workload, fixed-order
 // reductions), so the JSON doubles as a cross-machine behaviour pin:
 // tools/check_bench.py compares counters EXACTLY and the ratio metrics
 // against absolute [0, 1] bands (the BANDED class).

@@ -89,29 +89,24 @@ bool AdmissionController::offer(const VcRequest& req) {
   b.n_vms = req.n_vms;
   b.shape = req.shape;
   b.outcome = std::move(o);
-  active_.emplace(req.id, std::move(b));
+  auto [it, inserted] = active_.emplace(req.id, std::move(b));
+  if (inserted) departures_.emplace(it->second.depart_s, req.id);
   return true;
 }
 
 double AdmissionController::next_departure() const {
-  double t = std::numeric_limits<double>::infinity();
-  for (const auto& [id, b] : active_) t = std::min(t, b.depart_s);
-  return t;
+  return departures_.empty() ? std::numeric_limits<double>::infinity()
+                             : departures_.begin()->first;
 }
 
 int AdmissionController::process_departures(double now, double retry_s) {
-  std::vector<std::uint64_t> due;
-  for (const auto& [id, b] : active_) {
-    if (b.depart_s <= now) due.push_back(id);
-  }
-  std::sort(due.begin(), due.end(), [&](std::uint64_t a, std::uint64_t b) {
-    const ActiveBundle& ba = active_.at(a);
-    const ActiveBundle& bb = active_.at(b);
-    if (ba.depart_s != bb.depart_s) return ba.depart_s < bb.depart_s;
-    return a < b;
-  });
+  // Deferred bundles are re-keyed only after the sweep, so each bundle due
+  // now is visited once, in (depart_s, id) order.
+  std::vector<std::pair<double, std::uint64_t>> deferred;
   int done = 0;
-  for (std::uint64_t id : due) {
+  while (!departures_.empty() && departures_.begin()->first <= now) {
+    std::uint64_t id = departures_.begin()->second;
+    departures_.erase(departures_.begin());
     ActiveBundle& b = active_.at(id);
     bool migrating = false;
     for (host::VmId v : b.outcome.vms) {
@@ -124,6 +119,7 @@ int AdmissionController::process_departures(double now, double retry_s) {
       // The shuffler has this bundle's VM on the wire; destroying it now
       // would corrupt the migration.  Come back shortly.
       b.depart_s = now + retry_s;
+      deferred.emplace_back(b.depart_s, id);
       continue;
     }
     for (host::VmId v : b.outcome.vms) {
@@ -134,6 +130,7 @@ int AdmissionController::process_departures(double now, double retry_s) {
     active_.erase(id);
     ++done;
   }
+  departures_.insert(deferred.begin(), deferred.end());
   return done;
 }
 
@@ -300,6 +297,7 @@ void AdmissionController::ckpt_restore(ckpt::Reader& r) {
       }
     }
     embedder_->reacquire(b.outcome);
+    departures_.emplace(b.depart_s, b.request_id);
     active_.emplace(b.request_id, std::move(b));
   }
   r.exit_section();

@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arena/embedder.h"
@@ -91,7 +93,7 @@ class AdmissionController {
   /// the horizon) times N times (VM rate + B * bandwidth rate).
   double price(const VcRequest& req) const;
 
-  /// Earliest pending departure time; +inf when nothing is due.
+  /// Earliest pending departure time; +inf when nothing is due.  O(1).
   double next_departure() const;
 
   /// Destroys every bundle due at or before `now` (in (depart, id) order).
@@ -137,6 +139,9 @@ class AdmissionController {
   AdmissionStats stats_;
   std::map<std::string, host::CustomerId> customer_ids_;
   std::map<std::uint64_t, ActiveBundle> active_;
+  /// (depart_s, request id) of every entry in active_, in departure order.
+  /// Derived state: not checkpointed, rebuilt from active_ on restore.
+  std::set<std::pair<double, std::uint64_t>> departures_;
   std::map<std::string, TenantStats> tenants_;
   std::map<std::string, std::vector<host::VmId>> placed_;
 };

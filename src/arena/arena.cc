@@ -43,8 +43,8 @@ Arena::Arena(core::VBundleCloud* cloud, ArenaConfig cfg)
       embedder_ = std::make_unique<GreedyTreeEmbedder>(cloud_);
       break;
     case EmbedderKind::kCompetitive:
-      embedder_ = std::make_unique<CompetitiveEmbedder>(
-          cloud_, cfg_.competitive, cfg_.threads);
+      embedder_ =
+          std::make_unique<CompetitiveEmbedder>(cloud_, cfg_.competitive);
       break;
   }
   AdmissionController::Config acfg;
@@ -119,8 +119,7 @@ double Arena::fragmentation() const {
 }
 
 double Arena::utilization() const {
-  std::vector<double> free = cloud_->fleet().free_reservation_snapshot();
-  double free_total = parallel_sum(free, cfg_.threads);
+  double free_total = cloud_->fleet().free_reservation_total();
   double capacity = cloud_->topology().config().host_nic_mbps *
                     static_cast<double>(cloud_->num_hosts());
   return capacity > 0 ? 1.0 - free_total / capacity : 1.0;

@@ -9,13 +9,18 @@
 // an agenda deadline; the loop clamps and catches up, which is itself
 // deterministic.
 //
+// The loop runs on one thread and does no per-request fleet scan: the next
+// departure comes from the admission controller's (depart_s, id) index, and
+// utilization from the Fleet's cached free-capacity total, a fixed 64-chunk
+// fold re-summed only in chunks whose reservations changed (see
+// host::Fleet::free_reservation_total).
+//
 // Determinism contracts (locked by tests/arena/):
-//   * (seed -> accept/reject sequence, revenue, metrics) is identical at
-//     any `threads` setting — every parallel reduction uses fixed chunking
-//     (see arena/embedder.h parallel_sum);
+//   * (seed -> accept/reject sequence, revenue, metrics) is a pure function
+//     of the configuration;
 //   * a campaign split by save_checkpoint/restore_checkpoint at any agenda
-//     boundary is bit-identical to an uninterrupted run, at any thread
-//     count, with or without an attached FaultPlan.
+//     boundary is bit-identical to an uninterrupted run, with or without an
+//     attached FaultPlan.
 #pragma once
 
 #include <memory>
@@ -49,8 +54,8 @@ struct ArenaConfig {
   bool enable_rebalancing = false;
   /// 0 disables the demand model (no periodic demand application).
   double demand_apply_interval_s = 60.0;
-  /// Worker threads for the deterministic reductions; results are
-  /// bit-identical for any value >= 1.
+  /// Has no effect: the arena runs on one thread.  Kept so existing
+  /// callers and the `--threads` flags still compile.
   int threads = 1;
 };
 
@@ -80,8 +85,8 @@ class Arena {
 
   /// Bisection-bandwidth fragmentation of the fleet's free capacity, now.
   double fragmentation() const;
-  /// Fleet bandwidth-reservation utilization in [0, 1], via the
-  /// deterministic parallel reduction.
+  /// Fleet bandwidth-reservation utilization in [0, 1], from the Fleet's
+  /// cached free-capacity total.
   double utilization() const;
 
   /// Exports arena.* counters/gauges/distributions (acceptance rate,

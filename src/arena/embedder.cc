@@ -1,47 +1,9 @@
 #include "arena/embedder.h"
 
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 namespace vb::arena {
-
-double parallel_sum(const std::vector<double>& v, int threads) {
-  // 64 chunks regardless of thread count: the partial-sum boundaries (and
-  // therefore every floating-point rounding step) are fixed, and partials
-  // are folded in chunk order.  Threads only decide who computes a chunk.
-  constexpr int kChunks = 64;
-  double partial[kChunks] = {};
-  auto chunk_sum = [&](int c) {
-    std::size_t lo = v.size() * static_cast<std::size_t>(c) / kChunks;
-    std::size_t hi = v.size() * static_cast<std::size_t>(c + 1) / kChunks;
-    double s = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) s += v[i];
-    partial[c] = s;
-  };
-  int workers = std::min(threads, kChunks);
-  if (workers <= 1 || v.size() < 2 * kChunks) {
-    for (int c = 0; c < kChunks; ++c) chunk_sum(c);
-  } else {
-    std::atomic<int> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (;;) {
-          int c = next.fetch_add(1);
-          if (c >= kChunks) return;
-          chunk_sum(c);
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
-  double total = 0.0;
-  for (int c = 0; c < kChunks; ++c) total += partial[c];
-  return total;
-}
 
 // --- VBundleEmbedder -------------------------------------------------------
 
@@ -132,16 +94,15 @@ void GreedyTreeEmbedder::reacquire(const EmbedOutcome& o) {
 // --- CompetitiveEmbedder ---------------------------------------------------
 
 CompetitiveEmbedder::CompetitiveEmbedder(core::VBundleCloud* cloud,
-                                         CompetitiveConfig cfg, int threads)
-    : GreedyTreeEmbedder(cloud), cfg_(cfg), threads_(threads) {
+                                         CompetitiveConfig cfg)
+    : GreedyTreeEmbedder(cloud), cfg_(cfg) {
   if (cfg_.mu <= 1.0) {
     throw std::invalid_argument("CompetitiveEmbedder: mu must be > 1");
   }
 }
 
 double CompetitiveEmbedder::utilization() const {
-  std::vector<double> free = cloud_->fleet().free_reservation_snapshot();
-  double free_total = parallel_sum(free, threads_);
+  double free_total = cloud_->fleet().free_reservation_total();
   double capacity = cloud_->topology().config().host_nic_mbps *
                     static_cast<double>(cloud_->num_hosts());
   return capacity > 0 ? 1.0 - free_total / capacity : 1.0;

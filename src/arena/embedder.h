@@ -57,12 +57,6 @@ class Embedder {
   virtual void reacquire(const EmbedOutcome& /*o*/) {}
 };
 
-/// Deterministic parallel sum: the vector is cut into a FIXED number of
-/// chunks independent of `threads`, chunk partial sums run concurrently, and
-/// partials combine in chunk order — so the result is bit-identical for any
-/// thread count (the arena's determinism-across-threads contract).
-double parallel_sum(const std::vector<double>& v, int threads);
-
 /// The paper's system as an embedder: boot_vm per VM through the overlay.
 class VBundleEmbedder : public Embedder {
  public:
@@ -112,12 +106,13 @@ struct CompetitiveConfig {
 };
 
 /// Exponential-cost online admission (arXiv:1810.03162 family) on top of
-/// tree packing.  The utilization input is computed with parallel_sum, so
-/// accept/reject decisions are identical at any thread count.
+/// tree packing.  The gate reads utilization from the Fleet's cached
+/// free-capacity total (host::Fleet::free_reservation_total), which is kept
+/// up to date by every reservation change, so a request costs no fleet scan
+/// before the packer runs.
 class CompetitiveEmbedder : public GreedyTreeEmbedder {
  public:
-  CompetitiveEmbedder(core::VBundleCloud* cloud, CompetitiveConfig cfg,
-                      int threads);
+  CompetitiveEmbedder(core::VBundleCloud* cloud, CompetitiveConfig cfg);
   const char* name() const override { return "competitive"; }
   EmbedOutcome embed(const VcRequest& req, host::CustomerId c) override;
 
@@ -126,7 +121,6 @@ class CompetitiveEmbedder : public GreedyTreeEmbedder {
 
  private:
   CompetitiveConfig cfg_;
-  int threads_;
 };
 
 }  // namespace vb::arena

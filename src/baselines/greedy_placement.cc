@@ -41,28 +41,6 @@ double GreedyTreePacker::uplink_free(net::LinkId l) const {
          uplink_reserved_[static_cast<std::size_t>(l)];
 }
 
-int GreedyTreePacker::slots_on_host(int h, const host::VmSpec& spec,
-                                    int cap) const {
-  const host::Host& host = fleet_->host(h);
-  double s = cap;
-  if (spec.reservation_mbps > 0) {
-    s = std::min(s, std::floor((host.free_reservation_mbps() + kEps) /
-                               spec.reservation_mbps));
-  }
-  if (spec.cpu_reservation > 0) {
-    s = std::min(s, std::floor(
-                        (host.cpu_capacity() - host.reserved_cpu() + kEps) /
-                        spec.cpu_reservation));
-  }
-  if (spec.ram_mb > 0) {
-    s = std::min(s,
-                 std::floor((host.mem_capacity_mb() - host.reserved_mem_mb() +
-                             kEps) /
-                            spec.ram_mb));
-  }
-  return std::max(0, static_cast<int>(s));
-}
-
 GreedyTreePacker::Result GreedyTreePacker::pack(int n_vms,
                                                 const host::VmSpec& spec) {
   Result res;
@@ -73,12 +51,35 @@ GreedyTreePacker::Result GreedyTreePacker::pack(int n_vms,
   const int np = topo_->num_pods();
   const double bw = spec.reservation_mbps;
 
+  // VMs of `spec` each host can still admit (the tightest of its bandwidth,
+  // CPU and memory headroom, capped at n) and their per-rack totals, in one
+  // pass over each rack's contiguous host ids.  A headroom of at least
+  // (n + 2) * unit holds more than n units even after rounding, so its floor
+  // cannot lower s (<= n): the division is skipped and s is the same double.
+  const double cpu = spec.cpu_reservation;
+  const double ram = spec.ram_mb;
+  const double bw_roomy = (n + 2) * bw;
+  const double cpu_roomy = (n + 2) * cpu;
+  const double ram_roomy = (n + 2) * ram;
+  const int hosts_per_rack = topo_->config().hosts_per_rack;
   std::vector<int> slots(static_cast<std::size_t>(nh));
-  std::vector<int> rack_slots(static_cast<std::size_t>(nr), 0);
-  for (int h = 0; h < nh; ++h) {
-    slots[static_cast<std::size_t>(h)] = slots_on_host(h, spec, n);
-    rack_slots[static_cast<std::size_t>(topo_->rack_of(h))] +=
-        slots[static_cast<std::size_t>(h)];
+  std::vector<int> rack_slots(static_cast<std::size_t>(nr));
+  for (int r = 0, h = 0; r < nr; ++r) {
+    int pool = 0;
+    for (const int end = h + hosts_per_rack; h < end; ++h) {
+      const host::Host& hh = fleet_->host(h);
+      double s = n;
+      double x = hh.free_reservation_mbps() + kEps;
+      if (bw > 0 && x < bw_roomy) s = std::min(s, std::floor(x / bw));
+      x = hh.cpu_capacity() - hh.reserved_cpu() + kEps;
+      if (cpu > 0 && x < cpu_roomy) s = std::min(s, std::floor(x / cpu));
+      x = hh.mem_capacity_mb() - hh.reserved_mem_mb() + kEps;
+      if (ram > 0 && x < ram_roomy) s = std::min(s, std::floor(x / ram));
+      const int k = std::max(0, static_cast<int>(s));
+      slots[static_cast<std::size_t>(h)] = k;
+      pool += k;
+    }
+    rack_slots[static_cast<std::size_t>(r)] = pool;
   }
   res.hosts_examined = static_cast<std::uint64_t>(nh);
   hosts_examined_ += static_cast<std::uint64_t>(nh);
@@ -86,7 +87,7 @@ GreedyTreePacker::Result GreedyTreePacker::pack(int n_vms,
   // Appends `m` VM placements from rack `r`, hosts in id order.
   auto fill_rack = [&](int r, int m) {
     int h = topo_->rack_first_host(r);
-    int end = h + topo_->config().hosts_per_rack;
+    int end = h + hosts_per_rack;
     for (; h < end && m > 0; ++h) {
       int take = std::min(slots[static_cast<std::size_t>(h)], m);
       for (int i = 0; i < take; ++i) res.hosts.push_back(h);

@@ -84,8 +84,6 @@ class GreedyTreePacker {
 
  private:
   double uplink_free(net::LinkId l) const;
-  /// VMs of `spec` host `h` can still admit, capped at `cap`.
-  int slots_on_host(int h, const host::VmSpec& spec, int cap) const;
 
   host::Fleet* fleet_;
   const net::Topology* topo_;

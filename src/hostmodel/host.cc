@@ -1,6 +1,7 @@
 #include "hostmodel/host.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace vb::host {
@@ -33,9 +34,8 @@ bool Fleet::place(VmId id, int h) {
   Host& dst = host(h);
   if (!dst.can_admit(v.spec)) return false;
   dst.vms_.push_back(id);
-  dst.reserved_mbps_ += v.spec.reservation_mbps;
-  dst.reserved_cpu_ += v.spec.cpu_reservation;
-  dst.reserved_mem_mb_ += v.spec.ram_mb;
+  dst.reserve(v.spec);
+  mark_dirty(h);
   v.host = h;
   return true;
 }
@@ -49,9 +49,8 @@ void Fleet::unplace(VmId id) {
     throw std::logic_error("Fleet::unplace: host/vm bookkeeping mismatch");
   }
   src.vms_.erase(it);
-  src.reserved_mbps_ -= v.spec.reservation_mbps;
-  src.reserved_cpu_ -= v.spec.cpu_reservation;
-  src.reserved_mem_mb_ -= v.spec.ram_mb;
+  src.unreserve(v.spec);
+  mark_dirty(v.host);
   v.host = -1;
 }
 
@@ -62,14 +61,32 @@ void Fleet::migrate(VmId id, int dst, bool consume_hold) {
   if (consume_hold) {
     // The receiver held the reservations when accepting the anycast query;
     // placing the VM converts the hold into real reservations.
-    d.release_hold_all(v.spec);
+    d.unreserve(v.spec);
   }
   d.vms_.push_back(id);
-  d.reserved_mbps_ += v.spec.reservation_mbps;
-  d.reserved_cpu_ += v.spec.cpu_reservation;
-  d.reserved_mem_mb_ += v.spec.ram_mb;
+  d.reserve(v.spec);
+  mark_dirty(dst);
   v.host = dst;
   v.migrating = false;
+}
+
+void Fleet::hold_all(int h, const VmSpec& spec) {
+  host(h).reserve(spec);
+  mark_dirty(h);
+}
+
+void Fleet::release_hold_all(int h, const VmSpec& spec) {
+  host(h).unreserve(spec);
+  mark_dirty(h);
+}
+
+void Fleet::mark_dirty(int h) {
+  // Host h lies in chunk c iff n*c/64 <= h < n*(c+1)/64 (floored), i.e.
+  // c = ceil(64*(h+1)/n) - 1.
+  const std::uint64_t n = hosts_.size();
+  const std::uint64_t c =
+      (kFreeChunks * (static_cast<std::uint64_t>(h) + 1) - 1) / n;
+  free_dirty_ |= std::uint64_t{1} << c;
 }
 
 void Fleet::destroy_vm(VmId id) {
@@ -168,6 +185,24 @@ std::vector<double> Fleet::free_reservation_snapshot() const {
   return out;
 }
 
+double Fleet::free_reservation_total() const {
+  const std::size_t n = hosts_.size();
+  for (std::uint64_t d = free_dirty_; d != 0; d &= d - 1) {
+    const int c = std::countr_zero(d);
+    const std::size_t lo = n * static_cast<std::size_t>(c) / kFreeChunks;
+    const std::size_t hi = n * static_cast<std::size_t>(c + 1) / kFreeChunks;
+    double s = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      s += hosts_[i].free_reservation_mbps();
+    }
+    free_partial_[static_cast<std::size_t>(c)] = s;
+  }
+  free_dirty_ = 0;
+  double total = 0.0;
+  for (double s : free_partial_) total += s;
+  return total;
+}
+
 void Fleet::ckpt_save(ckpt::Writer& w) const {
   w.begin_section("fleet");
   w.u32(static_cast<std::uint32_t>(hosts_.size()));
@@ -199,6 +234,7 @@ void Fleet::ckpt_save(ckpt::Writer& w) const {
 }
 
 void Fleet::ckpt_restore(ckpt::Reader& r) {
+  free_dirty_ = ~std::uint64_t{0};  // every host's reservations are rewritten
   r.enter_section("fleet");
   std::uint32_t nh = r.u32();
   if (nh != hosts_.size()) {

@@ -7,6 +7,8 @@
 // queries the evaluation needs (per-host utilization, satisfied bandwidth).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -54,24 +56,21 @@ class Host {
            spec.ram_mb <= mem_capacity_mb_ - reserved_mem_mb_;
   }
 
-  /// Holds resources for an inbound migration (v-Bundle's receiver "holds
-  /// part of its bandwidth waiting for the new VM", §III.C step 3).
-  void hold(double mbps) { reserved_mbps_ += mbps; }
-  void hold_all(const VmSpec& spec) {
+ private:
+  // Reservations change only through Fleet, which keeps its cached
+  // free-capacity total in step with them.
+  friend class Fleet;
+  void reserve(const VmSpec& spec) {
     reserved_mbps_ += spec.reservation_mbps;
     reserved_cpu_ += spec.cpu_reservation;
     reserved_mem_mb_ += spec.ram_mb;
   }
-  /// Releases a previously held amount (migration cancelled).
-  void release_hold(double mbps) { reserved_mbps_ -= mbps; }
-  void release_hold_all(const VmSpec& spec) {
+  void unreserve(const VmSpec& spec) {
     reserved_mbps_ -= spec.reservation_mbps;
     reserved_cpu_ -= spec.cpu_reservation;
     reserved_mem_mb_ -= spec.ram_mb;
   }
 
- private:
-  friend class Fleet;
   int id_;
   double capacity_mbps_;
   double cpu_capacity_;
@@ -117,9 +116,16 @@ class Fleet {
   /// True if the VM has been destroyed.
   bool destroyed(VmId id) const { return vm(id).destroyed; }
 
-  /// Atomically moves a VM between hosts, consuming a prior hold of
-  /// `vm.spec.reservation_mbps` on the destination if `consume_hold`.
+  /// Atomically moves a VM between hosts, consuming a prior hold_all of the
+  /// VM's spec on the destination if `consume_hold`.
   void migrate(VmId id, int dst, bool consume_hold);
+
+  /// Holds `spec`'s reservations on host `h` for an inbound migration
+  /// (v-Bundle's receiver "holds part of its bandwidth waiting for the new
+  /// VM", §III.C step 3).  Holds count against admission like placed VMs.
+  void hold_all(int h, const VmSpec& spec);
+  /// Returns a hold_all that will not be consumed (migration cancelled).
+  void release_hold_all(int h, const VmSpec& spec);
 
   /// Sets a VM's instantaneous bandwidth demand.
   void set_demand(VmId id, double mbps);
@@ -163,6 +169,14 @@ class Fleet {
   /// server could still admit (src/arena admission, fragmentation metrics).
   std::vector<double> free_reservation_snapshot() const;
 
+  /// Sum of free_reservation_snapshot(), folded in a fixed order: 64 chunks
+  /// (chunk c holds hosts [n*c/64, n*(c+1)/64)), each summed from 0.0 in
+  /// host order, then the chunk sums added in chunk order.  The chunk sums
+  /// are cached and a reservation change marks only its host's chunk for
+  /// re-summing, so the call costs O(changed chunks x n/64), not O(n).
+  /// Refreshing the cache makes concurrent calls unsafe, const or not.
+  double free_reservation_total() const;
+
   // --- checkpoint/restore (src/ckpt) -------------------------------------
   /// Serializes dynamic placement state: per-host reservations and VM lists
   /// plus every VM record.  Host capacities are static configuration and are
@@ -174,8 +188,16 @@ class Fleet {
   void ckpt_restore(ckpt::Reader& r);
 
  private:
+  static constexpr int kFreeChunks = 64;
+  /// Flags host `h`'s chunk of the free-capacity total for re-summing.
+  void mark_dirty(int h);
+
   std::vector<Host> hosts_;
   std::vector<Vm> vms_;
+  // free_reservation_total()'s cache: one partial sum and one dirty bit
+  // per chunk.
+  mutable std::array<double, kFreeChunks> free_partial_{};
+  mutable std::uint64_t free_dirty_ = ~std::uint64_t{0};
 };
 
 }  // namespace vb::host

@@ -262,7 +262,7 @@ bool VBundleAgent::on_anycast(scribe::ScribeNode& self,
   if (!q) return false;
   if (q->shedder.id == node_->id()) return false;  // never accept our own
 
-  host::Host& h = fleet_->host(node_->host());
+  const host::Host& h = fleet_->host(node_->host());
   // Check 1: "if it has sufficient reserved bandwidth to accept the new VM"
   // (and, in multi-metric mode, CPU and memory reservations too).
   if (!h.can_admit(q->spec)) {
@@ -310,7 +310,7 @@ bool VBundleAgent::on_anycast(scribe::ScribeNode& self,
     }
     return true;
   }
-  h.hold_all(q->spec);
+  fleet_->hold_all(node_->host(), q->spec);
   pending_in_demand_ += q->demand_mbps;
   pending_in_cpu_ += q->cpu_demand;
   PendingAccept pending;
@@ -446,7 +446,7 @@ void VBundleAgent::release_accepted(host::VmId vm) {
   auto it = pending_accepts_.find(vm);
   if (it == pending_accepts_.end()) return;
   node_->network().simulator_for(node_->host()).cancel(it->second.lease);
-  fleet_->host(node_->host()).release_hold_all(it->second.spec);
+  fleet_->release_hold_all(node_->host(), it->second.spec);
   pending_in_demand_ -= it->second.demand_mbps;
   pending_in_cpu_ -= it->second.cpu_demand;
   if (pending_in_demand_ < 0) pending_in_demand_ = 0;

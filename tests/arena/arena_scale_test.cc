@@ -22,7 +22,6 @@ TEST(ArenaScale, CampaignOn32kServers) {
 
   arena::ArenaConfig acfg;
   acfg.embedder = arena::EmbedderKind::kCompetitive;
-  acfg.threads = 4;
   acfg.generator.seed = 9;
   acfg.generator.base_arrival_per_s = 5.0;
   acfg.generator.mean_lifetime_s = 300.0;

@@ -1,7 +1,7 @@
 // Unit coverage for src/arena: generator streams, tree packing, admission
-// bookkeeping, fragmentation accounting, deterministic parallel reduction,
-// and the closed-world equivalence that makes bench/fig8_growth.cc a
-// special case of the arena (the regression lock for that rewrite).
+// bookkeeping and its departure index, fragmentation accounting, and the
+// closed-world equivalence that makes bench/fig8_growth.cc a special case of
+// the arena (the regression lock for that rewrite).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -265,25 +265,6 @@ TEST(ReservationFragmentation, FullCloudIsFullyFragmented) {
       net::reservation_fragmentation(topo, std::vector<double>(4, 0.0)), 1.0);
 }
 
-// --- deterministic parallel reduction --------------------------------------
-
-TEST(ParallelSum, BitIdenticalAcrossThreadCounts) {
-  Rng rng(99);
-  std::vector<double> v;
-  for (int i = 0; i < 10000; ++i) v.push_back(rng.uniform(0.0, 1000.0));
-  double s1 = arena::parallel_sum(v, 1);
-  for (int threads : {2, 3, 4, 8, 16}) {
-    double st = arena::parallel_sum(v, threads);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(s1),
-              std::bit_cast<std::uint64_t>(st))
-        << "threads=" << threads;
-  }
-  // And it is actually a sum.
-  double naive = 0.0;
-  for (double x : v) naive += x;
-  EXPECT_NEAR(s1, naive, 1e-6);
-}
-
 // --- admission -------------------------------------------------------------
 
 arena::VcRequest bundle_request(std::uint64_t id, const std::string& tenant,
@@ -373,6 +354,59 @@ TEST(Admission, DeparturesReleaseCapacityAndUplinkLedger) {
   EXPECT_TRUE(adm.offer(bundle_request(1, "t", 80, 100.0)));
 }
 
+// Records the first VM of every released bundle, in release order.
+class ReleaseOrderEmbedder : public arena::GreedyTreeEmbedder {
+ public:
+  using GreedyTreeEmbedder::GreedyTreeEmbedder;
+  void release(const arena::EmbedOutcome& o) override {
+    released.push_back(o.vms.front());
+    GreedyTreeEmbedder::release(o);
+  }
+  std::vector<host::VmId> released;
+};
+
+TEST(Admission, DeparturesLeaveInDepartTimeThenRequestIdOrder) {
+  core::VBundleCloud cloud(packer_config());
+  ReleaseOrderEmbedder emb(&cloud);
+  arena::AdmissionController adm(&cloud, &emb, nullptr, {});
+  // Ids 7 and 3 share a departure time; id 9 leaves earlier.
+  ASSERT_TRUE(adm.offer(bundle_request(7, "a", 2, 100.0)));
+  ASSERT_TRUE(adm.offer(bundle_request(3, "b", 2, 100.0)));
+  ASSERT_TRUE(adm.offer(bundle_request(9, "c", 2, 50.0)));
+  const std::vector<host::VmId> expect = {
+      adm.active().at(9).outcome.vms.front(),
+      adm.active().at(3).outcome.vms.front(),
+      adm.active().at(7).outcome.vms.front()};
+  EXPECT_EQ(adm.next_departure(), 50.0);
+  EXPECT_EQ(adm.process_departures(100.0), 3);
+  EXPECT_EQ(emb.released, expect);
+  EXPECT_TRUE(std::isinf(adm.next_departure()));
+}
+
+TEST(Admission, MigratingBundleIsDeferredAndLeavesOnceSettled) {
+  core::VBundleCloud cloud(packer_config());
+  arena::GreedyTreeEmbedder emb(&cloud);
+  arena::AdmissionController adm(&cloud, &emb, nullptr, {});
+  ASSERT_TRUE(adm.offer(bundle_request(0, "t", 4, 100.0)));
+  const host::VmId v = adm.active().at(0).outcome.vms[1];
+  cloud.fleet().vm(v).migrating = true;
+
+  EXPECT_EQ(adm.process_departures(120.0, 5.0), 0);
+  EXPECT_EQ(adm.active().size(), 1u);
+  EXPECT_EQ(adm.next_departure(), 125.0);
+  EXPECT_EQ(adm.active().at(0).depart_s, 125.0);
+  // Still on the wire at its new departure time: deferred again.
+  EXPECT_EQ(adm.process_departures(125.0, 5.0), 0);
+  EXPECT_EQ(adm.next_departure(), 130.0);
+
+  cloud.fleet().vm(v).migrating = false;
+  EXPECT_EQ(adm.process_departures(129.0), 0);  // not due yet
+  EXPECT_EQ(adm.process_departures(130.0), 1);
+  EXPECT_TRUE(adm.active().empty());
+  EXPECT_TRUE(std::isinf(adm.next_departure()));
+  EXPECT_TRUE(cloud.fleet().destroyed(v));
+}
+
 TEST(CompetitiveEmbedder, RejectsOnCostOnceUtilizationClimbs) {
   core::CloudConfig cfg = small_config();
   cfg.topology.num_pods = 1;
@@ -382,7 +416,7 @@ TEST(CompetitiveEmbedder, RejectsOnCostOnceUtilizationClimbs) {
   arena::CompetitiveConfig ccfg;
   ccfg.mu = 16.0;
   ccfg.reject_threshold = 0.2;  // cuts off near u ~ 0.5
-  arena::CompetitiveEmbedder emb(&cloud, ccfg, 2);
+  arena::CompetitiveEmbedder emb(&cloud, ccfg);
   arena::AdmissionController adm(&cloud, &emb, nullptr, {});
 
   bool saw_cost_reject = false;
@@ -499,6 +533,35 @@ TEST(Arena, OpenWorldCampaignRunsAndExportsMetrics) {
   EXPECT_TRUE(reg.has("arena.fragmentation"));
   EXPECT_TRUE(reg.has("arena.migration_churn"));
   EXPECT_EQ(reg.find_counter("arena.requests_offered")->value(), 60u);
+}
+
+TEST(Arena, RestoredCampaignReportsTheSameNextDeparture) {
+  arena::ArenaConfig acfg;
+  acfg.embedder = arena::EmbedderKind::kGreedyTree;
+  acfg.generator.seed = 5;
+  acfg.generator.base_arrival_per_s = 0.05;
+  acfg.generator.mean_lifetime_s = 600.0;
+  acfg.max_requests = 60;
+  acfg.horizon_s = 4000.0;
+  acfg.sample_every_s = 500.0;
+  core::VBundleCloud cloud(small_config());
+  arena::Arena a(&cloud, acfg);
+  a.run_until(1500.0);
+  ASSERT_FALSE(a.admission().active().empty());
+  std::vector<std::uint8_t> image = a.save_checkpoint();
+
+  core::VBundleCloud other(small_config());
+  arena::Arena b(&other, acfg);
+  b.restore_checkpoint(image);
+  EXPECT_TRUE(std::isfinite(b.admission().next_departure()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.admission().next_departure()),
+            std::bit_cast<std::uint64_t>(b.admission().next_departure()));
+
+  a.run();
+  b.run();
+  EXPECT_EQ(a.admission().stats().decision_fingerprint,
+            b.admission().stats().decision_fingerprint);
+  EXPECT_EQ(a.admission().active().size(), b.admission().active().size());
 }
 
 TEST(Arena, RestoreUnderDifferentConfigThrows) {

@@ -1,6 +1,12 @@
 // TC shaper semantics (rate/ceil with borrowing) and fleet bookkeeping
-// (admission, placement, migration, utilization snapshots).
+// (admission, placement, migration, utilization snapshots, the cached
+// free-capacity total).
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "hostmodel/host.h"
@@ -124,10 +130,13 @@ TEST(Fleet, AdmissionControlRejectsOverbooking) {
 
 TEST(Fleet, HoldsCountAgainstAdmission) {
   Fleet f(1, 1000.0);
-  f.host(0).hold(800.0);
+  const VmSpec inbound{800, 800};
+  f.hold_all(0, inbound);
+  EXPECT_DOUBLE_EQ(f.host(0).reserved_mbps(), 800.0);
   VmId a = f.create_vm(0, VmSpec{300, 300});
   EXPECT_FALSE(f.place(a, 0));
-  f.host(0).release_hold(800.0);
+  f.release_hold_all(0, inbound);
+  EXPECT_DOUBLE_EQ(f.host(0).reserved_mem_mb(), 0.0);
   EXPECT_TRUE(f.place(a, 0));
 }
 
@@ -162,7 +171,7 @@ TEST(Fleet, MigrateConsumesHold) {
   Fleet f(2, 1000.0);
   VmId v = f.create_vm(0, VmSpec{400, 400});
   ASSERT_TRUE(f.place(v, 0));
-  f.host(1).hold_all(f.vm(v).spec);
+  f.hold_all(1, f.vm(v).spec);
   f.migrate(v, 1, /*consume_hold=*/true);
   // Hold replaced by the real reservation: still 400 total.
   EXPECT_DOUBLE_EQ(f.host(1).reserved_mbps(), 400.0);
@@ -259,6 +268,155 @@ TEST(Fleet, CannotDestroyMigratingVm) {
   f.vm(v).migrating = true;
   EXPECT_THROW(f.destroy_vm(v), std::logic_error);
 }
+
+// --- cached free-capacity total ---------------------------------------------
+
+// The fold free_reservation_total() must reproduce bit for bit: 64 fixed
+// chunks of the per-host free vector, each summed from 0.0 in host order,
+// chunk sums added in chunk order.
+double chunked_fold(const std::vector<double>& v) {
+  constexpr std::size_t kChunks = 64;
+  double total = 0.0;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    double s = 0.0;
+    std::size_t hi = v.size() * (c + 1) / kChunks;
+    for (std::size_t i = v.size() * c / kChunks; i < hi; ++i) s += v[i];
+    total += s;
+  }
+  return total;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+bool total_matches_fold(const Fleet& f) {
+  return bits(f.free_reservation_total()) ==
+         bits(chunked_fold(f.free_reservation_snapshot()));
+}
+
+class FreeTotalProperty : public ::testing::TestWithParam<int> {};
+
+// Random reservation churn through every Fleet mutator, with the cached
+// total checked after each step.  37 hosts leave some chunks empty; 1000 is
+// not a multiple of 64, so chunks differ in size.
+TEST_P(FreeTotalProperty, BitIdenticalToChunkedFoldUnderChurn) {
+  const int n = GetParam();
+  Rng rng(1000 + static_cast<std::uint64_t>(n));
+  Fleet f(n, 1000.0);
+  std::vector<VmId> placed;
+  std::vector<VmId> unplaced;
+  std::vector<std::pair<int, VmSpec>> holds;  // outstanding hold_all()s
+
+  auto random_host = [&] {
+    return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+  };
+  auto random_spec = [&] {
+    VmSpec s;
+    s.reservation_mbps = rng.uniform(1.0, 150.0);
+    s.limit_mbps = 2.0 * s.reservation_mbps;
+    s.ram_mb = rng.uniform(64.0, 512.0);
+    return s;
+  };
+  auto take = [&](std::vector<VmId>& from) {
+    std::size_t i = rng.index(from.size());
+    VmId v = from[i];
+    from[i] = from.back();
+    from.pop_back();
+    return v;
+  };
+  auto other_host = [&](int h) {
+    int d = random_host();
+    return d == h ? (d + 1) % n : d;
+  };
+
+  ASSERT_TRUE(total_matches_fold(f)) << "fresh fleet";
+  const int kSteps = 3000;
+  for (int step = 0; step < kSteps; ++step) {
+    if (step == kSteps / 2) {
+      // Restore into a fresh fleet whose cache already holds the all-free
+      // total: restore must invalidate every chunk.
+      ckpt::Writer w;
+      f.ckpt_save(w);
+      std::vector<std::uint8_t> image = w.finish();
+      Fleet restored(n, 1000.0);
+      ASSERT_TRUE(total_matches_fold(restored));
+      ckpt::Reader r(image);
+      restored.ckpt_restore(r);
+      ASSERT_EQ(bits(restored.free_reservation_total()),
+                bits(f.free_reservation_total()));
+      f = std::move(restored);
+    }
+    const char* op = "";
+    switch (rng.next_below(8)) {
+      case 0: {
+        op = "create+place";
+        VmId v = f.create_vm(0, random_spec());
+        (f.place(v, random_host()) ? placed : unplaced).push_back(v);
+        break;
+      }
+      case 1: {
+        if (unplaced.empty()) continue;
+        op = "place";
+        VmId v = take(unplaced);
+        (f.place(v, random_host()) ? placed : unplaced).push_back(v);
+        break;
+      }
+      case 2: {
+        if (placed.empty()) continue;
+        op = "unplace";
+        VmId v = take(placed);
+        f.unplace(v);
+        unplaced.push_back(v);
+        break;
+      }
+      case 3: {
+        if (placed.empty()) continue;
+        op = "migrate";
+        VmId v = placed[rng.index(placed.size())];
+        f.migrate(v, other_host(f.vm(v).host), /*consume_hold=*/false);
+        break;
+      }
+      case 4: {
+        if (placed.empty()) continue;
+        op = "hold_all+migrate(consume_hold)";
+        VmId v = placed[rng.index(placed.size())];
+        int dst = other_host(f.vm(v).host);
+        f.hold_all(dst, f.vm(v).spec);
+        ASSERT_TRUE(total_matches_fold(f)) << "n=" << n << " step " << step;
+        f.migrate(v, dst, /*consume_hold=*/true);
+        break;
+      }
+      case 5: {
+        if (placed.empty() && unplaced.empty()) continue;
+        op = "destroy";
+        bool pick_unplaced =
+            placed.empty() || (!unplaced.empty() && rng.chance(0.3));
+        f.destroy_vm(take(pick_unplaced ? unplaced : placed));
+        break;
+      }
+      case 6: {
+        op = "hold_all";
+        holds.emplace_back(random_host(), random_spec());
+        f.hold_all(holds.back().first, holds.back().second);
+        break;
+      }
+      default: {
+        if (holds.empty()) continue;
+        op = "release_hold_all";
+        std::size_t i = rng.index(holds.size());
+        f.release_hold_all(holds[i].first, holds[i].second);
+        holds[i] = holds.back();
+        holds.pop_back();
+        break;
+      }
+    }
+    ASSERT_TRUE(total_matches_fold(f))
+        << "n=" << n << " step " << step << " after " << op;
+  }
+  EXPECT_FALSE(placed.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(HostCounts, FreeTotalProperty,
+                         ::testing::Values(37, 1000));
 
 TEST(Vm, CappedDemandAndToString) {
   Vm v;

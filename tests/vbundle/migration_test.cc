@@ -28,7 +28,7 @@ TEST(Migration, StartMovesVmAtCutover) {
   MigrationManager mgr(&e.sim, &e.fleet, e.cfg);
   host::VmId v = e.fleet.create_vm(0, host::VmSpec{100, 200, 128});
   ASSERT_TRUE(e.fleet.place(v, 0));
-  e.fleet.host(2).hold_all(e.fleet.vm(v).spec);
+  e.fleet.hold_all(2, e.fleet.vm(v).spec);
 
   int done_host = -1;
   sim::SimTime eta = mgr.start(v, 2, [&](host::VmId, int dst) { done_host = dst; });
@@ -51,7 +51,7 @@ TEST(Migration, RejectsUnplacedOrDoubleMigration) {
   host::VmId v = e.fleet.create_vm(0, host::VmSpec{100, 200});
   EXPECT_THROW(mgr.start(v, 1, nullptr), std::logic_error);
   ASSERT_TRUE(e.fleet.place(v, 0));
-  e.fleet.host(1).hold_all(e.fleet.vm(v).spec);
+  e.fleet.hold_all(1, e.fleet.vm(v).spec);
   mgr.start(v, 1, nullptr);
   EXPECT_THROW(mgr.start(v, 1, nullptr), std::logic_error);
 }
@@ -81,7 +81,7 @@ TEST(Migration, StatsAccumulate) {
   for (int i = 0; i < 3; ++i) {
     host::VmId v = e.fleet.create_vm(0, host::VmSpec{50, 100, 256});
     ASSERT_TRUE(e.fleet.place(v, 0));
-    e.fleet.host(1).hold_all(e.fleet.vm(v).spec);
+    e.fleet.hold_all(1, e.fleet.vm(v).spec);
     mgr.start(v, 1, nullptr);
   }
   e.sim.run_to_completion();

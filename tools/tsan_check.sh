@@ -22,13 +22,13 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" \
   --target test_parallel_runner test_determinism test_ckpt_parallel \
-  test_chaos_fuzz test_arena perf_core arena_compare
+  test_chaos_fuzz perf_core
 
 # The threaded tests: engine unit tests + serial-vs-parallel determinism
 # (1/2/4/8 worker threads, with and without a FaultPlan, traced variant) +
-# the parallel checkpoint resume suite (src/ckpt under real worker threads) +
-# the arena unit tests (arena/embedder.h parallel_sum spawns workers).
-ctest --test-dir build-tsan -R '^(parallel_runner|determinism|ckpt_parallel|arena)$' \
+# the parallel checkpoint resume suite (src/ckpt under real worker threads).
+# The arena runs on one thread and is covered by ASan+UBSan instead.
+ctest --test-dir build-tsan -R '^(parallel_runner|determinism|ckpt_parallel)$' \
   --output-on-failure "$@"
 
 # A short traced chaos run through the real transport under TSan: the smoke
@@ -39,10 +39,5 @@ ctest --test-dir build-tsan -R '^chaos_fuzz$' --output-on-failure "$@"
   --out=build-tsan/BENCH_core_tsan.json \
   --trace=build-tsan/perf_core_tsan.trace.json \
   --metrics=build-tsan/perf_core_tsan.metrics.csv
-
-# Arena admission campaigns at 4 worker threads: the fleet-wide reductions
-# (arena/embedder.h parallel_sum) under real concurrency.
-./build-tsan/bench/arena_compare --smoke --threads=4 \
-  --out=build-tsan/BENCH_arena_tsan.json
 
 echo "tsan_check: ThreadSanitizer clean"

@@ -313,7 +313,7 @@ int run_overhead(const Flags& flags) {
 // embedder's admission control, and reports the campaign outcome.  Supports
 // the same checkpoint/restore workflow as `rebalance` — the whole campaign
 // (loop state, generator stream, admission ledgers, cloud image) round-trips
-// and the resumed run is bit-identical at any --threads setting.
+// and the resumed run is bit-identical to one that never stopped.
 int run_arena(const Flags& flags) {
   core::CloudConfig cfg = config_from(flags);
   core::VBundleCloud cloud(cfg);
@@ -467,9 +467,8 @@ int help() {
       "arena:\n"
       "  --embedder KIND                vbundle | greedy_tree | competitive |\n"
       "                                 first_fit (default vbundle)\n"
-      "  --threads N                    worker threads for the deterministic\n"
-      "                                 reductions; results are bit-identical\n"
-      "                                 for any N >= 1 (default 1)\n"
+      "  --threads N                    accepted but has no effect: the\n"
+      "                                 arena runs on one thread (default 1)\n"
       "  --requests N                   stop offering after N arrivals\n"
       "                                 (default 1000)\n"
       "  --duration S                   campaign horizon (default 86400)\n"
