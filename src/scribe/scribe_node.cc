@@ -1,6 +1,7 @@
 #include "scribe/scribe_node.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "obs/trace.h"
 #include "pastry/pastry_network.h"
@@ -306,28 +307,43 @@ void ScribeNode::disseminate(const GroupId& group, const PayloadPtr& inner,
   }
 }
 
-void ScribeNode::push_neighbors(WalkMsg& walk, const GroupState& st) const {
-  const net::Topology& topo = owner_->network().topology();
-  std::vector<NodeHandle> candidates;
-  for (const NodeHandle& c : st.children) candidates.push_back(c);
-  if (st.attached && st.parent.valid() && !st.root) {
-    candidates.push_back(st.parent);
-  }
-  auto visited = [&walk](const NodeHandle& n) {
-    return std::find(walk.visited.begin(), walk.visited.end(), n.id) !=
-           walk.visited.end();
+void push_walk_candidates(const net::Topology& topo, net::HostId origin,
+                          const std::vector<U128>& visited,
+                          const std::vector<NodeHandle>& children,
+                          const NodeHandle* parent,
+                          std::vector<NodeHandle>& stack) {
+  // Each candidate's proximity tier is computed once and packed above its
+  // host, so the sort compares one integer and reaches the id only when two
+  // candidates share a host.
+  struct Keyed {
+    std::uint64_t tier_host;
+    NodeHandle node;
   };
-  std::erase_if(candidates, visited);
-  // Sort so the candidate closest to the origin ends up on top of the stack
-  // (v-Bundle prefers topologically close receivers, §III.C step 2).
-  std::sort(candidates.begin(), candidates.end(),
-            [&](const NodeHandle& a, const NodeHandle& b) {
-              auto pa = static_cast<int>(topo.proximity(walk.origin.host, a.host));
-              auto pb = static_cast<int>(topo.proximity(walk.origin.host, b.host));
-              if (pa != pb) return pa > pb;  // farthest first -> popped last
-              return a.host > b.host;
-            });
-  for (const NodeHandle& c : candidates) walk.stack.push_back(c);
+  std::vector<Keyed> keyed;
+  keyed.reserve(children.size() + 1);
+  auto consider = [&](const NodeHandle& n) {
+    if (std::find(visited.begin(), visited.end(), n.id) != visited.end()) {
+      return;
+    }
+    auto tier = static_cast<std::uint64_t>(topo.proximity(origin, n.host));
+    keyed.push_back({tier << 32 | static_cast<std::uint32_t>(n.host), n});
+  };
+  for (const NodeHandle& c : children) consider(c);
+  if (parent != nullptr) consider(*parent);
+  // Farthest first, so the candidate closest to the origin ends up on top of
+  // the stack (v-Bundle prefers topologically close receivers, §III.C).
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.tier_host != b.tier_host) return a.tier_host > b.tier_host;
+    return a.node.id > b.node.id;
+  });
+  for (const Keyed& k : keyed) stack.push_back(k.node);
+}
+
+void ScribeNode::push_neighbors(WalkMsg& walk, const GroupState& st) const {
+  const bool push_parent = st.attached && st.parent.valid() && !st.root;
+  push_walk_candidates(owner_->network().topology(), walk.origin.host,
+                       walk.visited, st.children,
+                       push_parent ? &st.parent : nullptr, walk.stack);
 }
 
 void ScribeNode::process_walk(std::shared_ptr<WalkMsg> walk) {

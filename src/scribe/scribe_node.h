@@ -82,6 +82,17 @@ struct GroupState {
   bool has_child(const pastry::NodeHandle& n) const;
 };
 
+/// One anycast DFS step (§III.C step 2): appends to `stack` the candidates,
+/// namely `children` plus `*parent` when non-null, whose ids are not in
+/// `visited`.  They are appended farthest from `origin` first: proximity tier
+/// descending, then host descending, then id descending.  The nearest
+/// candidate therefore ends on top of the stack and is popped next.
+void push_walk_candidates(const net::Topology& topo, net::HostId origin,
+                          const std::vector<U128>& visited,
+                          const std::vector<pastry::NodeHandle>& children,
+                          const pastry::NodeHandle* parent,
+                          std::vector<pastry::NodeHandle>& stack);
+
 class ScribeNode : public pastry::PastryApp {
  public:
   /// Attaches this Scribe agent to `owner` (registers as a Pastry app).
@@ -158,8 +169,9 @@ class ScribeNode : public pastry::PastryApp {
                    pastry::MsgCategory category);
   /// Starts or continues an anycast DFS at this node.
   void process_walk(std::shared_ptr<WalkMsg> walk);
-  /// Pushes unvisited tree neighbors onto the walk stack, nearest to the
-  /// origin popped first.
+  /// Pushes unvisited tree neighbors (children, then the parent when we are
+  /// attached below the root) onto the walk stack, nearest to the origin
+  /// popped first.
   void push_neighbors(WalkMsg& walk, const GroupState& st) const;
   void maybe_prune(const GroupId& group);
   /// Our path to the root is gone: dissolve the subtree below us (children

@@ -1,9 +1,13 @@
-// Additional Scribe edge cases: anycast visit bounds, heartbeat edge
-// healing, dissemination message counts, many concurrent groups, and the
-// wire-size accounting on Scribe payloads.
+// Additional Scribe edge cases: anycast visit bounds and visit order,
+// heartbeat edge healing, dissemination message counts, many concurrent
+// groups, and the wire-size accounting on Scribe payloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -19,6 +23,7 @@ struct Note : pastry::Payload {
 struct Client : ScribeApp {
   int multicasts = 0;
   int offers = 0;
+  std::vector<U128> offered;  ///< ids of the members offered, in order
   int accepts_sent = 0;
   int failures = 0;
   std::set<U128> acceptors;
@@ -31,6 +36,7 @@ struct Client : ScribeApp {
   bool on_anycast(ScribeNode& self, const GroupId&, const pastry::PayloadPtr&,
                   const pastry::NodeHandle&) override {
     ++offers;
+    offered.push_back(self.owner().id());
     return acceptors.contains(self.owner().id());
   }
   void on_anycast_accepted(ScribeNode&, const GroupId&,
@@ -52,10 +58,10 @@ struct Harness {
   std::unique_ptr<ScribeNetwork> scribe;
   Client client;
 
-  explicit Harness(int racks, int hosts, std::uint64_t seed = 42)
+  explicit Harness(int racks, int hosts, std::uint64_t seed = 42, int pods = 1)
       : topo([&] {
           net::TopologyConfig c;
-          c.num_pods = 1;
+          c.num_pods = pods;
           c.racks_per_pod = racks;
           c.hosts_per_rack = hosts;
           return net::Topology(c);
@@ -202,6 +208,233 @@ TEST(ScribeEdge, ManyGroupsCoexist) {
               member_counts[i]);
     EXPECT_GE(hx.scribe->members_of(groups[i]).size(), 1u);
   }
+}
+
+// The DFS step's order as a plain comparator sort: proximity tier to the
+// origin descending, then host descending, then id descending.  The last
+// element is the one the walk pops next.
+std::vector<pastry::NodeHandle> reference_order(
+    const net::Topology& topo, net::HostId origin,
+    const std::vector<U128>& visited,
+    const std::vector<pastry::NodeHandle>& children,
+    const pastry::NodeHandle* parent) {
+  std::vector<pastry::NodeHandle> c = children;
+  if (parent != nullptr) c.push_back(*parent);
+  std::erase_if(c, [&](const pastry::NodeHandle& n) {
+    return std::find(visited.begin(), visited.end(), n.id) != visited.end();
+  });
+  std::sort(c.begin(), c.end(),
+            [&](const pastry::NodeHandle& a, const pastry::NodeHandle& b) {
+              auto pa = static_cast<int>(topo.proximity(origin, a.host));
+              auto pb = static_cast<int>(topo.proximity(origin, b.host));
+              if (pa != pb) return pa > pb;
+              if (a.host != b.host) return a.host > b.host;
+              return a.id > b.id;
+            });
+  return c;
+}
+
+std::vector<std::pair<U128, net::HostId>> id_host(
+    const std::vector<pastry::NodeHandle>& v) {
+  std::vector<std::pair<U128, net::HostId>> out;
+  for (const pastry::NodeHandle& n : v) out.emplace_back(n.id, n.host);
+  return out;
+}
+
+TEST(ScribeEdge, WalkCandidateOrderMatchesReference) {
+  net::TopologyConfig cfg;
+  cfg.num_pods = 2;
+  cfg.racks_per_pod = 4;
+  cfg.hosts_per_rack = 8;
+  const net::Topology topo(cfg);
+  Rng rng(13);
+  for (int trial = 0; trial < 120; ++trial) {
+    // Sizes 0, 1 and 3000 first, then small and large at random.
+    std::size_t n = trial == 0   ? 0
+                    : trial == 1 ? 1
+                    : trial == 2 ? 3000
+                    : rng.chance(0.5) ? rng.index(21)
+                                      : rng.index(3001);
+    // A small host pool makes many candidates share a host, so the id
+    // tie-break decides their order.
+    std::vector<net::HostId> pool(1 + rng.index(topo.num_hosts()));
+    for (net::HostId& h : pool) {
+      h = static_cast<net::HostId>(rng.index(topo.num_hosts()));
+    }
+    auto draw = [&] {
+      return pastry::NodeHandle{rng.next_u128(), pool[rng.index(pool.size())]};
+    };
+    std::vector<pastry::NodeHandle> children(n);
+    for (pastry::NodeHandle& c : children) c = draw();
+    const pastry::NodeHandle parent_node = draw();
+    // An attached node pushes its parent; a root or detached one does not.
+    const pastry::NodeHandle* parent =
+        rng.index(3) == 0 ? &parent_node : nullptr;
+
+    std::vector<U128> visited;
+    const double p = rng.next_double();
+    for (const pastry::NodeHandle& c : children) {
+      if (rng.chance(p)) visited.push_back(c.id);
+    }
+    if (rng.chance(0.5)) visited.push_back(parent_node.id);
+    visited.push_back(rng.next_u128());  // a visited node that is no candidate
+    rng.shuffle(visited);
+    const auto origin = static_cast<net::HostId>(rng.index(topo.num_hosts()));
+
+    // Entries already on the stack stay below the new ones.
+    std::vector<pastry::NodeHandle> stack{draw(), draw()};
+    std::vector<pastry::NodeHandle> expected = stack;
+    for (const pastry::NodeHandle& c :
+         reference_order(topo, origin, visited, children, parent)) {
+      expected.push_back(c);
+    }
+    push_walk_candidates(topo, origin, visited, children, parent, stack);
+    ASSERT_EQ(id_host(stack), id_host(expected))
+        << "trial " << trial << " n=" << n << " pool=" << pool.size();
+  }
+}
+
+// The tree as the DFS sees it: per node, its children and its parent when
+// it pushes one (attached, valid, not the root).
+struct TreeNode {
+  pastry::NodeHandle self;
+  std::vector<pastry::NodeHandle> children;
+  std::optional<pastry::NodeHandle> parent;
+};
+using TreeSnapshot = std::map<U128, TreeNode>;
+
+TreeSnapshot snapshot(ScribeNetwork& scribe, const GroupId& g) {
+  TreeSnapshot tree;
+  for (ScribeNode* s : scribe.nodes()) {
+    const GroupState* st = s->find_group(g);
+    if (st == nullptr) continue;
+    TreeNode& n = tree[s->owner().id()];
+    n.self = s->owner().handle();
+    n.children = st->children;
+    if (st->attached && st->parent.valid() && !st->root) n.parent = st->parent;
+  }
+  return tree;
+}
+
+// Replays the anycast DFS from `origin` (a tree node): offer at the current
+// node, push its unvisited neighbours in reference order, pop entries until
+// one is unvisited.  Returns the ids offered, in order (every node is a
+// member and declines).  `stale_pops` counts popped entries whose node had
+// been visited since they were pushed.
+std::vector<U128> reference_dfs(const TreeSnapshot& tree,
+                                const net::Topology& topo,
+                                const pastry::NodeHandle& origin,
+                                int* stale_pops = nullptr) {
+  std::vector<U128> visited{origin.id};
+  std::vector<pastry::NodeHandle> stack;
+  std::vector<U128> offers;
+  for (const TreeNode* cur = &tree.at(origin.id); cur != nullptr;) {
+    offers.push_back(cur->self.id);
+    for (const pastry::NodeHandle& c :
+         reference_order(topo, origin.host, visited, cur->children,
+                         cur->parent ? &*cur->parent : nullptr)) {
+      stack.push_back(c);
+    }
+    cur = nullptr;
+    while (cur == nullptr && !stack.empty()) {
+      pastry::NodeHandle top = stack.back();
+      stack.pop_back();
+      if (std::find(visited.begin(), visited.end(), top.id) != visited.end()) {
+        if (stale_pops != nullptr) ++*stale_pops;
+        continue;
+      }
+      visited.push_back(top.id);
+      cur = &tree.at(top.id);
+    }
+  }
+  return offers;
+}
+
+TEST(ScribeEdge, AnycastVisitOrderIsReferenceDfs) {
+  Harness hx(3, 4, 42, /*pods=*/2);
+  GroupId g = scribe_group_id("g", "t");
+  for (ScribeNode* s : hx.scribe->nodes()) s->join(g);
+  hx.sim.run_to_completion();
+  ASSERT_TRUE(hx.scribe->tree_consistent(g));
+  ScribeNode* root = hx.scribe->root_of(g);
+  ASSERT_NE(root, nullptr);
+  const net::HostId root_host = root->owner().handle().host;
+  const std::size_t group_size = hx.scribe->nodes().size();
+  TreeSnapshot tree = snapshot(*hx.scribe, g);
+  ASSERT_EQ(tree.size(), group_size);
+
+  // One origin in the root's rack, one in another rack of its pod, one in
+  // the other pod.
+  ScribeNode* same_rack = nullptr;
+  ScribeNode* other_rack = nullptr;
+  ScribeNode* other_pod = nullptr;
+  for (ScribeNode* s : hx.scribe->nodes()) {
+    const net::HostId h = s->owner().handle().host;
+    switch (hx.topo.proximity(root_host, h)) {
+      case net::Proximity::kSameRack:
+        if (same_rack == nullptr) same_rack = s;
+        break;
+      case net::Proximity::kSamePod:
+        if (other_rack == nullptr) other_rack = s;
+        break;
+      case net::Proximity::kCrossPod:
+        if (other_pod == nullptr) other_pod = s;
+        break;
+      default:
+        break;
+    }
+  }
+  ASSERT_NE(same_rack, nullptr);
+  ASSERT_NE(other_rack, nullptr);
+  ASSERT_NE(other_pod, nullptr);
+
+  int failures = 0;
+  auto walk_from = [&](ScribeNode* origin) {
+    hx.client.offered.clear();
+    origin->anycast(g, std::make_shared<Note>());
+    hx.sim.run_to_completion();
+    EXPECT_EQ(hx.client.failures, ++failures);
+    EXPECT_EQ(hx.client.offered.size(), group_size);
+    EXPECT_EQ(hx.client.offered,
+              reference_dfs(tree, hx.topo, origin->owner().handle()))
+        << "origin host " << origin->owner().handle().host;
+  };
+  for (ScribeNode* origin : {same_rack, other_rack, other_pod}) {
+    walk_from(origin);
+  }
+
+  // A stale child edge (a heartbeat from a node to a non-parent grafts one)
+  // lets two nodes push the same leaf, so the walk must skip a stack entry
+  // whose node it has visited since.  Pick a leaf and a node to hold the
+  // stale edge for which the reference DFS from that node pops such an
+  // entry.
+  std::optional<TreeSnapshot> stale;
+  ScribeNode* holder = nullptr;
+  pastry::NodeHandle leaf;
+  for (auto n = tree.begin(); n != tree.end() && !stale; ++n) {
+    if (!n->second.children.empty() || !n->second.parent) continue;
+    for (auto h = tree.begin(); h != tree.end() && !stale; ++h) {
+      if (h == n || h->first == n->second.parent->id) continue;
+      TreeSnapshot candidate = tree;
+      candidate[h->first].children.push_back(n->second.self);
+      int stale_pops = 0;
+      reference_dfs(candidate, hx.topo, h->second.self, &stale_pops);
+      if (stale_pops > 0) {
+        stale = std::move(candidate);
+        holder = hx.scribe->find(h->first);
+        leaf = n->second.self;
+      }
+    }
+  }
+  ASSERT_TRUE(stale.has_value());
+  tree = std::move(*stale);
+  auto hb = std::make_shared<HeartbeatMsg>();
+  hb->group = g;
+  hb->child = leaf;
+  holder->owner().handle_direct_msg(leaf, hb,
+                                    pastry::MsgCategory::kScribeControl);
+  ASSERT_TRUE(holder->find_group(g)->has_child(leaf));
+  walk_from(holder);
 }
 
 TEST(ScribeEdge, PayloadWireBytesScaleWithContents) {
