@@ -18,7 +18,7 @@
 // against absolute [0, 1] bands (the BANDED class).
 //
 // Usage:
-//   arena_compare [--sizes=3000,16000] [--requests=N] [--threads=N]
+//   arena_compare [--sizes=3000,16000] [--requests=N]
 //                 [--out=BENCH_arena.json] [--smoke]
 //
 // --requests=0 (the default) auto-scales to 1.4 requests per server, the
@@ -77,12 +77,11 @@ struct RowResult {
 };
 
 RowResult run_campaign(int servers, arena::EmbedderKind kind,
-                       std::uint64_t requests, int threads) {
+                       std::uint64_t requests) {
   core::VBundleCloud cloud(cloud_config(servers));
 
   arena::ArenaConfig cfg;
   cfg.embedder = kind;
-  cfg.threads = threads;
   // The paper's shuffling service is part of the v-Bundle offering; the
   // tree-packing baselines have no rebalancer.  Demand shapes are applied
   // for everyone (the shuffler needs utilization skew to act on).
@@ -120,7 +119,6 @@ RowResult run_campaign(int servers, arena::EmbedderKind kind,
 int main(int argc, char** argv) {
   Flags flags = Flags::parse(argc - 1, argv + 1);
   bool smoke = flags.has("smoke");
-  int threads = flags.get_int("threads", 1);
   // 0 = auto: 1.4 requests per server, the overload point for the default
   // bundle mix (mean 7 VMs at mean 150 Mbps vs 1000 Mbps hosts).
   int requests_flag = flags.get_int("requests", 0);
@@ -158,11 +156,10 @@ int main(int argc, char** argv) {
 
   std::string json = "{\n";
   json += "  \"bench\": \"arena_compare\",\n";
-  json += "  \"schema_version\": 2,\n";
+  json += "  \"schema_version\": 3,\n";
   json += "  \"smoke\": " + std::string(smoke ? "true" : "false") + ",\n";
   json += "  \"timestamp_unix\": " + std::to_string(std::time(nullptr)) + ",\n";
-  json += "  \"config\": {\"threads\": " + std::to_string(threads) +
-          ", \"shards\": 1, \"compiler\": \"" + compiler +
+  json += "  \"config\": {\"compiler\": \"" + compiler +
           "\", \"build_type\": \"" + build_type + "\"},\n";
   json += "  \"results\": [\n";
   bool first = true;
@@ -179,7 +176,7 @@ int main(int argc, char** argv) {
     std::printf("== %d servers, %llu requests ==\n", servers,
                 static_cast<unsigned long long>(requests));
     for (arena::EmbedderKind kind : kinds) {
-      RowResult r = run_campaign(servers, kind, requests, threads);
+      RowResult r = run_campaign(servers, kind, requests);
       const arena::AdmissionStats& s = r.stats;
       std::string name =
           std::string("arena_") + arena::embedder_kind_name(kind);

@@ -6,17 +6,7 @@
 // trajectory.  Four benchmarks, each at 1k/4k/16k simulated servers:
 //
 //   event_churn        raw event-loop throughput: N self-rescheduling actors
-//                      whose closures carry a RouteMsg-sized capture.  Also
-//                      runs the identical workload on a copy of the seed's
-//                      priority_queue + std::function queue and reports the
-//                      speedup of the slab/4-ary-heap rewrite.
-//   event_churn_parallel  the same actor churn on the deterministic parallel
-//                      engine (sim::ParallelRunner): actors partitioned over
-//                      shards, every 16th re-arm crossing shards through the
-//                      window-barrier mailboxes.  Runs once at --threads=1
-//                      and once at --threads=N, checks the two executions are
-//                      bit-identical in event counts, and reports the
-//                      parallel speedup.
+//                      whose closures carry a RouteMsg-sized capture.
 //   route_throughput   Pastry prefix routing over an oracle-bootstrapped
 //                      overlay: random (source, key) lookups per second.
 //   aggregation_round  one set_local + tick on every node of a cluster-wide
@@ -32,14 +22,10 @@
 // Usage:
 //   perf_core [--sizes=1000,4000,16000] [--out=BENCH_core.json] [--smoke]
 //             [--churn-events=2000000] [--routes=20000] [--agg-rounds=5]
-//             [--threads=N] [--shards=N]
 //             [--trace=<path>] [--metrics=<path>]
 //
-// --threads sets the worker-thread count for event_churn_parallel (the
-// simulated outcome is thread-count-invariant by construction; only the wall
-// clock changes).  --shards sets the spatial partition width and IS part of
-// the workload definition.  Both are recorded in the JSON's top-level
-// "config" block (schema_version 2) together with compiler and build type.
+// The JSON's top-level "config" block (schema_version 3) records the
+// compiler and build type.
 //
 // --smoke shrinks everything (<=100 servers, small counts) so CI can
 // exercise the harness on every ctest run (the bench_smoke test); smoke
@@ -58,7 +44,6 @@
 #include <ctime>
 #include <memory>
 #include <functional>
-#include <queue>
 #include <set>
 #include <string>
 #include <vector>
@@ -73,7 +58,6 @@
 #include "pastry/pastry_network.h"
 #include "scribe/scribe_network.h"
 #include "sim/event_queue.h"
-#include "sim/parallel_runner.h"
 #include "sim/simulator.h"
 #include "vbundle/cloud.h"
 #include "workloads/scenario.h"
@@ -90,55 +74,16 @@ double wall_seconds(const std::function<void()>& body) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy event queue: byte-for-byte the seed implementation (priority_queue
-// of whole events, std::function callback).  Kept here — not in src/ — as
-// the fixed comparison baseline for event_churn.
-namespace legacy {
-
-struct Event {
-  double time;
-  std::uint64_t seq;
-  std::function<void()> action;
-};
-
-class EventQueue {
- public:
-  void push(double t, std::function<void()> action) {
-    heap_.push(Event{t, next_seq_++, std::move(action)});
-  }
-  bool empty() const { return heap_.empty(); }
-  Event pop() {
-    Event e = heap_.top();
-    heap_.pop();
-    return e;
-  }
-
- private:
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::uint64_t next_seq_ = 0;
-};
-
-}  // namespace legacy
-
-// ---------------------------------------------------------------------------
 // event_churn: N actors, each event re-arms itself until `target` events
 // have been pushed.  The captured Blob matches the size of the overlay
-// transport's largest closure (a RouteMsg in flight, ~96 bytes), so the
-// legacy std::function pays its real-world allocation per event.
+// transport's largest closure (a RouteMsg in flight, ~96 bytes).
 
 struct Blob {
   std::uint64_t w[12];
 };
 
-template <class Queue>
 struct ChurnDriver {
-  Queue q;
+  sim::EventQueue q;
   std::uint64_t target = 0;
   std::uint64_t pushed = 0;
   std::uint64_t executed = 0;
@@ -172,171 +117,24 @@ struct ChurnDriver {
     for (int i = 0; i < actors && pushed < target; ++i) {
       arm(0.0);
     }
-    // Drain the way Simulator does: in-place execution when the queue
-    // supports it, pop-then-invoke otherwise (the seed's only option).
-    if constexpr (requires { q.run_top(); }) {
-      while (!q.empty()) q.run_top();
-    } else {
-      while (!q.empty()) {
-        auto e = q.pop();
-        e.action();
-      }
-    }
+    while (!q.empty()) q.run_top();  // in-place, the way Simulator drains
   }
 };
 
 struct ChurnResult {
   std::uint64_t events = 0;
   double seconds = 0.0;
-  double legacy_seconds = 0.0;
 };
 
 ChurnResult bench_event_churn(int servers, std::uint64_t total_events) {
   ChurnResult r;
   r.events = total_events;
-  {
-    ChurnDriver<sim::EventQueue> d;
-    r.seconds = wall_seconds([&] { d.run(servers, total_events, 1234); });
-    if (d.executed != total_events) {
-      std::fprintf(stderr, "event_churn: executed %llu != target %llu\n",
-                   static_cast<unsigned long long>(d.executed),
-                   static_cast<unsigned long long>(total_events));
-    }
-  }
-  {
-    ChurnDriver<legacy::EventQueue> d;
-    r.legacy_seconds = wall_seconds([&] { d.run(servers, total_events, 1234); });
-  }
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// event_churn_parallel: the actor churn on the deterministic parallel
-// engine.  Actors are partitioned evenly over shards; each shard's chains
-// re-arm locally, and every 16th re-arm also posts a one-shot event to the
-// next shard through the window-barrier mailboxes (so the measurement pays
-// the real cross-shard tax, not just embarrassing parallelism).  The
-// lookahead is synthetic (no topology here) and the cross-shard post uses a
-// 1.5x margin over it, keeping posts clear of window-grid boundaries.
-
-class ParallelChurn {
- public:
-  ParallelChurn(sim::ParallelRunner& r, int actors, std::uint64_t total)
-      : runner_(r),
-        shards_(static_cast<std::size_t>(r.num_shards())),
-        actors_per_shard_(std::max(1, actors / r.num_shards())) {
-    int ns = r.num_shards();
-    for (int s = 0; s < ns; ++s) {
-      ShardState& st = shards_[static_cast<std::size_t>(s)];
-      st.target = total / static_cast<std::uint64_t>(ns);
-      st.rng_state = 0x1234 + 0x9E3779B97F4A7C15ULL * static_cast<unsigned>(s);
-    }
-  }
-
-  void start() {
-    for (int s = 0; s < runner_.num_shards(); ++s) {
-      for (int a = 0; a < actors_per_shard_; ++a) {
-        if (shards_[static_cast<std::size_t>(s)].pushed <
-            shards_[static_cast<std::size_t>(s)].target) {
-          arm(s, 0.0);
-        }
-      }
-    }
-  }
-
-  std::uint64_t executed() const {
-    std::uint64_t n = 0;
-    for (const ShardState& st : shards_) n += st.executed;
-    return n;
-  }
-
- private:
-  struct ShardState {
-    std::uint64_t target = 0;
-    std::uint64_t pushed = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t rng_state = 0;
-    std::uint64_t sink = 0;
-  };
-
-  double next_delay(ShardState& st) {
-    st.rng_state += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = st.rng_state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    return 1e-4 * static_cast<double>(1 + (z & 0xFF));
-  }
-
-  void arm(int s, double now) {
-    ShardState& st = shards_[static_cast<std::size_t>(s)];
-    ++st.pushed;
-    Blob b{};
-    b.w[0] = st.pushed;
-    if (st.pushed % 16 == 0 && runner_.num_shards() > 1) {
-      int dst = (s + 1) % runner_.num_shards();
-      double ct = now + runner_.lookahead_s() * 1.5 + next_delay(st);
-      runner_.post(dst, ct, [this, dst, ct, b] { fire(dst, ct, b); });
-    } else {
-      double t = now + next_delay(st);
-      runner_.shard(s).schedule_at(t, [this, s, t, b] { fire(s, t, b); });
-    }
-  }
-
-  void fire(int s, double t, const Blob& b) {
-    ShardState& st = shards_[static_cast<std::size_t>(s)];
-    ++st.executed;
-    st.sink += b.w[0];
-    if (st.pushed < st.target) arm(s, t);
-  }
-
-  sim::ParallelRunner& runner_;
-  std::vector<ShardState> shards_;
-  int actors_per_shard_;
-};
-
-struct ParallelChurnResult {
-  std::uint64_t events = 0;       // executed under --threads=N
-  std::uint64_t cross_posts = 0;  // mailbox traffic under --threads=N
-  double seconds = 0.0;           // wall time at --threads=N
-  double serial_seconds = 0.0;    // same workload at --threads=1
-  bool deterministic = false;     // both executions bit-identical in counts
-};
-
-ParallelChurnResult bench_event_churn_parallel(int servers,
-                                               std::uint64_t total_events,
-                                               int shards, int threads) {
-  constexpr double kLookaheadS = 0.05;
-  ParallelChurnResult r;
-  std::uint64_t serial_events = 0;
-  std::uint64_t serial_posts = 0;
-  {
-    sim::ParallelRunner runner(shards, kLookaheadS, 1);
-    ParallelChurn churn(runner, servers, total_events);
-    r.serial_seconds = wall_seconds([&] {
-      churn.start();
-      runner.run_until(1e9);
-    });
-    serial_events = churn.executed();
-    serial_posts = runner.cross_shard_posts();
-  }
-  {
-    sim::ParallelRunner runner(shards, kLookaheadS, threads);
-    ParallelChurn churn(runner, servers, total_events);
-    r.seconds = wall_seconds([&] {
-      churn.start();
-      runner.run_until(1e9);
-    });
-    r.events = churn.executed();
-    r.cross_posts = runner.cross_shard_posts();
-  }
-  r.deterministic = r.events == serial_events && r.cross_posts == serial_posts;
-  if (!r.deterministic) {
-    std::fprintf(stderr,
-                 "event_churn_parallel: NON-DETERMINISTIC (%llu/%llu events, "
-                 "%llu/%llu posts)\n",
-                 static_cast<unsigned long long>(r.events),
-                 static_cast<unsigned long long>(serial_events),
-                 static_cast<unsigned long long>(r.cross_posts),
-                 static_cast<unsigned long long>(serial_posts));
+  ChurnDriver d;
+  r.seconds = wall_seconds([&] { d.run(servers, total_events, 1234); });
+  if (d.executed != total_events) {
+    std::fprintf(stderr, "event_churn: executed %llu != target %llu\n",
+                 static_cast<unsigned long long>(d.executed),
+                 static_cast<unsigned long long>(total_events));
   }
   return r;
 }
@@ -613,12 +411,6 @@ int main(int argc, char** argv) {
   std::uint64_t routes =
       static_cast<std::uint64_t>(flags.get_int("routes", smoke ? 500 : 20000));
   int agg_rounds = flags.get_int("agg-rounds", smoke ? 2 : 5);
-  int threads = flags.get_int("threads", 1);
-  int shards = flags.get_int("shards", 8);
-  if (threads < 1 || shards < 1) {
-    std::fprintf(stderr, "perf_core: --threads and --shards must be >= 1\n");
-    return 2;
-  }
   // Smoke runs get their own default output so CI never overwrites the
   // committed full-run BENCH_core.json with tiny numbers.
   std::string out_path = flags.get_string(
@@ -647,12 +439,11 @@ int main(int argc, char** argv) {
 
   std::string json = "{\n";
   json += "  \"bench\": \"perf_core\",\n";
-  json += "  \"schema_version\": 2,\n";
+  json += "  \"schema_version\": 3,\n";
   json += "  \"smoke\": " + std::string(smoke ? "true" : "false") + ",\n";
   json += "  \"timestamp_unix\": " + std::to_string(std::time(nullptr)) + ",\n";
-  json += "  \"config\": {\"threads\": " + std::to_string(threads) +
-          ", \"shards\": " + std::to_string(shards) + ", \"compiler\": \"" +
-          compiler + "\", \"build_type\": \"" + build_type + "\"},\n";
+  json += "  \"config\": {\"compiler\": \"" + compiler +
+          "\", \"build_type\": \"" + build_type + "\"},\n";
   json += "  \"results\": [\n";
   bool first = true;
   auto emit = [&](const std::string& row) {
@@ -671,38 +462,11 @@ int main(int argc, char** argv) {
 
     ChurnResult c = bench_event_churn(n, churn_events);
     double eps = static_cast<double>(c.events) / c.seconds;
-    double leps = static_cast<double>(c.events) / c.legacy_seconds;
-    std::printf("event_churn        %10.0f ev/s  (legacy %10.0f ev/s, %.2fx)\n",
-                eps, leps, eps / leps);
+    std::printf("event_churn        %10.0f ev/s\n", eps);
     emit("{\"name\": \"event_churn\", \"servers\": " + std::to_string(n) +
          ", \"events\": " + std::to_string(c.events) +
          ", \"seconds\": " + num(c.seconds) +
-         ", \"events_per_sec\": " + num(eps) +
-         ", \"legacy_seconds\": " + num(c.legacy_seconds) +
-         ", \"legacy_events_per_sec\": " + num(leps) +
-         ", \"speedup_vs_legacy\": " + num(eps / leps) + "}");
-
-    ParallelChurnResult pc =
-        bench_event_churn_parallel(n, churn_events, shards, threads);
-    double peps = static_cast<double>(pc.events) / pc.seconds;
-    double seps = static_cast<double>(pc.events) / pc.serial_seconds;
-    std::printf(
-        "event_churn_parallel %8.0f ev/s at %d threads (1 thread %10.0f "
-        "ev/s, %.2fx, %s)\n",
-        peps, threads, seps, pc.seconds > 0 ? pc.serial_seconds / pc.seconds : 0.0,
-        pc.deterministic ? "deterministic" : "NON-DETERMINISTIC");
-    emit("{\"name\": \"event_churn_parallel\", \"servers\": " +
-         std::to_string(n) + ", \"threads\": " + std::to_string(threads) +
-         ", \"shards\": " + std::to_string(shards) +
-         ", \"events\": " + std::to_string(pc.events) +
-         ", \"cross_shard_posts\": " + std::to_string(pc.cross_posts) +
-         ", \"seconds\": " + num(pc.seconds) +
-         ", \"events_per_sec\": " + num(peps) +
-         ", \"serial_seconds\": " + num(pc.serial_seconds) +
-         ", \"parallel_speedup\": " + num(pc.serial_seconds / pc.seconds) +
-         ", \"deterministic\": " +
-         std::string(pc.deterministic ? "true" : "false") + "}");
-    if (!pc.deterministic) return 1;
+         ", \"events_per_sec\": " + num(eps) + "}");
 
     RouteResult rt = bench_route_throughput(n, routes, trace, metrics);
     double rps = static_cast<double>(rt.routes) / rt.seconds;

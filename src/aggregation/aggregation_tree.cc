@@ -53,7 +53,7 @@ bool AggregationAgent::subscribed(const TopicId& topic) const {
 void AggregationAgent::set_local(const TopicId& topic, const AggValue& v) {
   TopicManager& mgr = manager(topic);
   mgr.set_local(v);
-  sim::SimTime now = scribe_->owner().network().simulator_for(scribe_->owner().host()).now();
+  sim::SimTime now = scribe_->owner().network().simulator().now();
   auto [it, inserted] = pending_since_.emplace(topic, now);
   (void)it;
   (void)inserted;  // keep the oldest pending timestamp if one exists
@@ -70,7 +70,7 @@ void AggregationAgent::tick(const TopicId& topic) { propagate(topic); }
 void AggregationAgent::propagate(const TopicId& topic) {
   TopicManager& mgr = manager(topic);
   const scribe::GroupState* st = scribe_->find_group(topic);
-  sim::SimTime now = scribe_->owner().network().simulator_for(scribe_->owner().host()).now();
+  sim::SimTime now = scribe_->owner().network().simulator().now();
 
   sim::SimTime oldest = now;
   if (auto it = pending_since_.find(topic); it != pending_since_.end()) {
@@ -113,7 +113,7 @@ void AggregationAgent::publish_down(const TopicId& topic,
                                     const AggValue& global,
                                     std::uint64_t trace) {
   TopicManager& mgr = manager(topic);
-  sim::SimTime now = scribe_->owner().network().simulator_for(scribe_->owner().host()).now();
+  sim::SimTime now = scribe_->owner().network().simulator().now();
   mgr.set_global(global, now);
   obs::TraceRecorder* tr = scribe_->owner().network().trace();
   if (tr != nullptr) {
@@ -162,7 +162,7 @@ void AggregationAgent::receive_direct(pastry::PastryNode& self,
   }
   if (auto pub = std::dynamic_pointer_cast<const AggPublishMsg>(payload)) {
     TopicManager& mgr = manager(pub->topic);
-    sim::SimTime now = scribe_->owner().network().simulator_for(scribe_->owner().host()).now();
+    sim::SimTime now = scribe_->owner().network().simulator().now();
     mgr.set_global(pub->global, now);
     if (obs::TraceRecorder* tr = scribe_->owner().network().trace()) {
       tr->instant(now, pub->trace,

@@ -49,7 +49,7 @@ struct AdmissionStats {
   double revenue = 0.0;          ///< booked from accepted bundles
   double offered_revenue = 0.0;  ///< what accepting everything would earn
   /// Rolling hash over the (request id, accepted) sequence — the arena
-  /// determinism tests compare this across thread counts and ckpt splits.
+  /// determinism tests compare this across ckpt splits and fault plans.
   std::uint64_t decision_fingerprint = 1469598103934665603ULL;
 
   double acceptance_rate() const {

@@ -54,8 +54,8 @@ struct ArenaConfig {
   bool enable_rebalancing = false;
   /// 0 disables the demand model (no periodic demand application).
   double demand_apply_interval_s = 60.0;
-  /// Has no effect: the arena runs on one thread.  Kept so existing
-  /// callers and the `--threads` flags still compile.
+  /// Has no effect: the arena runs on one thread.  Kept only because the
+  /// end-to-end benchmark (perfbench/workloads.cc) still assigns it.
   int threads = 1;
 };
 

@@ -43,7 +43,10 @@ class CkptError : public std::runtime_error {
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
 
 inline constexpr std::uint32_t kMagic = 0x4B434256;  // "VBCK" little-endian
-inline constexpr std::uint32_t kVersion = 1;
+/// Bumped on every layout change (docs/ARCHITECTURE.md lists what each
+/// version changed); readers refuse any other version rather than misparse
+/// it.
+inline constexpr std::uint32_t kVersion = 2;
 
 class Writer {
  public:

@@ -68,23 +68,6 @@ void Accumulator::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void Accumulator::merge(const Accumulator& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  std::size_t n = n_ + other.n_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) /
-                         static_cast<double>(n);
-  mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(n);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ = n;
-}
-
 double Accumulator::variance() const {
   return n_ ? m2_ / static_cast<double>(n_) : 0.0;
 }

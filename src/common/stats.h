@@ -42,10 +42,6 @@ double fraction_below(const std::vector<double>& values, double threshold);
 class Accumulator {
  public:
   void add(double x);
-  /// Folds `other` in (Chan et al.'s parallel Welford combine): the result
-  /// is as if every sample of both had been add()ed here.  Lets per-shard
-  /// accumulators be kept contention-free and merged at export time.
-  void merge(const Accumulator& other);
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const;  // population variance

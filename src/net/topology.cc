@@ -97,52 +97,6 @@ double Topology::bisection_capacity_mbps() const {
   return total;
 }
 
-std::vector<int> Topology::rack_aligned_shards(int num_shards) const {
-  if (num_shards <= 0) {
-    throw std::invalid_argument("rack_aligned_shards: num_shards <= 0");
-  }
-  int shards = num_shards < num_racks_ ? num_shards : num_racks_;
-  std::vector<int> out(static_cast<std::size_t>(num_hosts_));
-  for (HostId h = 0; h < num_hosts_; ++h) {
-    // Contiguous rack blocks: rack r -> shard floor(r * shards / racks).
-    // All hosts of a rack land in one shard, and when racks/shards is a
-    // multiple of racks_per_pod, whole pods do too (lookahead = cross-pod).
-    out[static_cast<std::size_t>(h)] =
-        static_cast<int>(static_cast<long long>(rack_of(h)) * shards /
-                         num_racks_);
-  }
-  return out;
-}
-
-double Topology::min_cross_shard_latency_s(
-    const std::vector<int>& shard_of_host) const {
-  if (static_cast<int>(shard_of_host.size()) != num_hosts_) {
-    throw std::invalid_argument("min_cross_shard_latency_s: bad map size");
-  }
-  bool rack_split = false, pod_split = false, multi_shard = false;
-  for (HostId h = 1; h < num_hosts_; ++h) {
-    if (shard_of_host[static_cast<std::size_t>(h)] ==
-        shard_of_host[static_cast<std::size_t>(h - 1)]) {
-      continue;
-    }
-    multi_shard = true;
-    // Hosts are numbered rack-major, so any shard change inside a rack (or
-    // pod) shows up between some pair of adjacent host ids.
-    if (rack_of(h) == rack_of(h - 1)) rack_split = true;
-    else if (pod_of(h) == pod_of(h - 1)) pod_split = true;
-  }
-  // Hosts of one rack (and racks of one pod) occupy contiguous host ids, so
-  // the adjacent scan is exhaustive; no adjacent change means one shard.
-  if (!multi_shard) {
-    throw std::invalid_argument(
-        "min_cross_shard_latency_s: map uses a single shard");
-  }
-  double ms = rack_split ? cfg_.same_rack_ms
-              : pod_split ? cfg_.same_pod_ms
-                          : cfg_.cross_pod_ms;
-  return ms / 1000.0;
-}
-
 Topology Topology::paper_testbed() {
   // 16 slots across 4 racks; the paper's 15th..16th slot asymmetry (4+4+4+3)
   // is modeled by callers simply not placing VMs on the last host.

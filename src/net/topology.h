@@ -104,18 +104,6 @@ class Topology {
   /// last rack simply has one empty slot.
   static Topology paper_testbed();
 
-  // --- sharding helpers (parallel engine) --------------------------------
-  /// Rack-aligned host->shard map for sim::ParallelRunner: racks are cut
-  /// into `num_shards` contiguous blocks (clamped to the rack count), so
-  /// chatty same-rack traffic is always shard-local, and when the block
-  /// size is a multiple of racks_per_pod whole pods stay together too.
-  std::vector<int> rack_aligned_shards(int num_shards) const;
-
-  /// Minimum one-way latency between any two hosts in *different* shards —
-  /// the conservative lookahead bound for ParallelRunner windows.  Requires
-  /// at least two distinct shards in the map.
-  double min_cross_shard_latency_s(const std::vector<int>& shard_of_host) const;
-
  private:
   TopologyConfig cfg_;
   int num_hosts_;

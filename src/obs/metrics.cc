@@ -29,18 +29,6 @@ bool MetricsRegistry::has(const std::string& name) const {
          distributions_.contains(name);
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& [name, c] : other.counters_) {
-    counter(name).inc(c.value());
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    gauge(name).set(g.value());
-  }
-  for (const auto& [name, d] : other.distributions_) {
-    distribution(name).merge(d);
-  }
-}
-
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::vector<MetricSample> out;
   out.reserve(series_count());

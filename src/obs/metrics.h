@@ -50,8 +50,6 @@ class Gauge {
 class Distribution {
  public:
   void observe(double x) { acc_.add(x); }
-  /// Folds another distribution's samples in (parallel Welford merge).
-  void merge(const Distribution& other) { acc_.merge(other.acc_); }
   void reset() { acc_ = Accumulator(); }
   const Accumulator& acc() const { return acc_; }
 
@@ -88,12 +86,6 @@ class MetricsRegistry {
   std::size_t series_count() const {
     return counters_.size() + gauges_.size() + distributions_.size();
   }
-
-  /// Folds `other` into this registry — the export-time combiner for
-  /// per-shard registries in parallel runs.  Counters add, distributions
-  /// merge their accumulators, gauges take the other's value (merge shards
-  /// in ascending order; the highest shard wins, deterministically).
-  void merge_from(const MetricsRegistry& other);
 
   /// All series, sorted by name within each type (counters, then gauges,
   /// then distributions) — deterministic export order.

@@ -1,65 +1,17 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
-#include "common/shard_context.h"
 #include "obs/json.h"
 
 namespace vb::obs {
 
 TraceRecorder::TraceRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
-  rings_.resize(1);
-  rings_[0].cap = capacity_;
-  rings_[0].buf.reserve(capacity_);
-}
-
-void TraceRecorder::enable_sharded(int num_shards) {
-  if (num_shards <= 0) {
-    throw std::invalid_argument("TraceRecorder: num_shards <= 0");
-  }
-  auto n = static_cast<std::size_t>(num_shards);
-  if (sharded_ && rings_.size() == n) return;
-  std::size_t per_ring = capacity_ / n;
-  if (per_ring == 0) per_ring = 1;
-  rings_.assign(n, Ring{});
-  for (Ring& r : rings_) {
-    r.cap = per_ring;
-    r.buf.reserve(per_ring);
-  }
-  sharded_ = true;
-}
-
-TraceRecorder::Ring& TraceRecorder::ring_for_caller() {
-  if (!sharded_) return rings_[0];
-  int s = vb::current_shard();
-  // Shard-less callers (setup code between windows) share ring 0 with
-  // shard 0 — they never run concurrently with it.
-  if (s < 0 || static_cast<std::size_t>(s) >= rings_.size()) s = 0;
-  return rings_[static_cast<std::size_t>(s)];
-}
-
-std::uint64_t TraceRecorder::new_trace_id() {
-  Ring& r = ring_for_caller();
-  if (!sharded_) return r.next_id++;
-  auto shard = static_cast<std::uint64_t>(&r - rings_.data());
-  return ((shard + 1) << 48) | r.next_id++;
-}
-
-void TraceRecorder::record_into(Ring& r, const TraceEvent& e) {
-  ++r.total;
-  if (r.size < r.cap) {
-    r.buf.push_back(e);
-    ++r.size;
-    return;
-  }
-  r.buf[r.head] = e;
-  r.head = (r.head + 1) % r.cap;
+  buf_.reserve(capacity_);
 }
 
 void TraceRecorder::record(double ts_s, Phase phase, std::uint64_t trace_id,
@@ -77,55 +29,27 @@ void TraceRecorder::record(double ts_s, Phase phase, std::uint64_t trace_id,
   e.arg0 = arg0;
   e.arg1_name = arg1_name;
   e.arg1 = arg1;
-  record_into(ring_for_caller(), e);
-}
-
-std::size_t TraceRecorder::size() const {
-  std::size_t n = 0;
-  for (const Ring& r : rings_) n += r.size;
-  return n;
-}
-
-std::uint64_t TraceRecorder::total_recorded() const {
-  std::uint64_t n = 0;
-  for (const Ring& r : rings_) n += r.total;
-  return n;
+  ++total_;
+  if (buf_.size() < capacity_) {
+    buf_.push_back(e);
+    return;
+  }
+  buf_[head_] = e;
+  head_ = (head_ + 1) % capacity_;
 }
 
 void TraceRecorder::clear() {
-  for (Ring& r : rings_) {
-    r.buf.clear();
-    r.head = 0;
-    r.size = 0;
-    r.total = 0;
-  }
-}
-
-void TraceRecorder::append_ring(std::vector<TraceEvent>& out,
-                                std::size_t i) const {
-  const Ring& r = rings_[i];
-  for (std::size_t k = 0; k < r.size; ++k) {
-    std::size_t idx = r.size < r.cap ? k : (r.head + k) % r.cap;
-    out.push_back(r.buf[idx]);
-  }
+  buf_.clear();
+  head_ = 0;
+  total_ = 0;
 }
 
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
   std::vector<TraceEvent> out;
-  out.reserve(size());
-  if (rings_.size() == 1) {
-    append_ring(out, 0);  // already oldest-first; equal-ts insertion order
-    return out;
+  out.reserve(buf_.size());
+  for (std::size_t k = 0; k < buf_.size(); ++k) {
+    out.push_back(buf_[buf_.size() < capacity_ ? k : (head_ + k) % capacity_]);
   }
-  // Merge shard rings on (timestamp, shard, position-in-ring).  Rings are
-  // concatenated in shard order and each is chronological (per-shard sim
-  // time is monotonic), so a *stable* sort on timestamp alone leaves
-  // equal-ts events in exactly that canonical tiebreak order — one
-  // deterministic global timeline at any thread count.
-  for (std::size_t i = 0; i < rings_.size(); ++i) append_ring(out, i);
-  std::stable_sort(
-      out.begin(), out.end(),
-      [](const TraceEvent& a, const TraceEvent& b) { return a.ts_s < b.ts_s; });
   return out;
 }
 
@@ -231,85 +155,69 @@ const char* TraceRecorder::intern(const std::string& s) {
 
 void TraceRecorder::ckpt_save(ckpt::Writer& w) const {
   w.begin_section("trace");
-  w.boolean(sharded_);
   w.u64(capacity_);
-  w.u32(static_cast<std::uint32_t>(rings_.size()));
+  w.u64(head_);
+  w.u64(buf_.size());
+  w.u64(total_);
+  w.u64(next_id_);
   auto opt_str = [&w](const char* s) {
     w.boolean(s != nullptr);
     if (s != nullptr) w.str(s);
   };
-  for (const Ring& r : rings_) {
-    w.u64(r.cap);
-    w.u64(r.head);
-    w.u64(r.size);
-    w.u64(r.total);
-    w.u64(r.next_id);
-    // Storage order, not chronological order: restoring buf[] verbatim
-    // (plus head) makes every later overwrite land in the same slot.
-    for (std::size_t i = 0; i < r.size; ++i) {
-      const TraceEvent& e = r.buf[i];
-      w.f64(e.ts_s);
-      w.u64(e.trace_id);
-      w.u32(static_cast<std::uint32_t>(e.node));
-      w.u8(static_cast<std::uint8_t>(e.phase));
-      w.str(e.name);
-      w.str(e.cat);
-      opt_str(e.arg0_name);
-      w.f64(e.arg0);
-      opt_str(e.arg1_name);
-      w.f64(e.arg1);
-    }
+  // Storage order, not chronological order: restoring buf_ verbatim (plus
+  // head_) makes every later overwrite land in the same slot.
+  for (const TraceEvent& e : buf_) {
+    w.f64(e.ts_s);
+    w.u64(e.trace_id);
+    w.u32(static_cast<std::uint32_t>(e.node));
+    w.u8(static_cast<std::uint8_t>(e.phase));
+    w.str(e.name);
+    w.str(e.cat);
+    opt_str(e.arg0_name);
+    w.f64(e.arg0);
+    opt_str(e.arg1_name);
+    w.f64(e.arg1);
   }
   w.end_section();
 }
 
 void TraceRecorder::ckpt_restore(ckpt::Reader& r) {
   r.enter_section("trace");
-  bool sharded = r.boolean();
-  std::uint64_t capacity = r.u64();
-  std::uint32_t nrings = r.u32();
-  if (sharded != sharded_ || capacity != capacity_ || nrings != rings_.size()) {
+  if (r.u64() != capacity_) {
     throw ckpt::CkptError(
-        "trace restore: recorder layout mismatch (sharding/capacity/ring "
-        "count) — reconstruct the recorder with the original configuration");
+        "trace restore: recorder capacity mismatch — reconstruct the "
+        "recorder with the original capacity");
+  }
+  std::uint64_t head = r.u64();
+  std::uint64_t size = r.u64();
+  std::uint64_t total = r.u64();
+  std::uint64_t next_id = r.u64();
+  if (size > capacity_ || head >= capacity_) {
+    throw ckpt::CkptError("trace restore: ring counters out of range");
   }
   auto opt_str = [this, &r]() -> const char* {
     if (!r.boolean()) return nullptr;
     return intern(r.str());
   };
-  for (Ring& ring : rings_) {
-    std::uint64_t cap = r.u64();
-    if (cap != ring.cap) {
-      throw ckpt::CkptError("trace restore: ring capacity mismatch");
-    }
-    std::uint64_t head = r.u64();
-    std::uint64_t size = r.u64();
-    std::uint64_t total = r.u64();
-    std::uint64_t next_id = r.u64();
-    if (size > cap || head >= cap) {
-      throw ckpt::CkptError("trace restore: ring counters out of range");
-    }
-    ring.buf.clear();
-    ring.buf.reserve(ring.cap);
-    for (std::uint64_t i = 0; i < size; ++i) {
-      TraceEvent e;
-      e.ts_s = r.f64();
-      e.trace_id = r.u64();
-      e.node = static_cast<std::int32_t>(r.u32());
-      e.phase = static_cast<Phase>(r.u8());
-      e.name = intern(r.str());
-      e.cat = intern(r.str());
-      e.arg0_name = opt_str();
-      e.arg0 = r.f64();
-      e.arg1_name = opt_str();
-      e.arg1 = r.f64();
-      ring.buf.push_back(e);
-    }
-    ring.head = head;
-    ring.size = size;
-    ring.total = total;
-    ring.next_id = next_id;
+  buf_.clear();
+  buf_.reserve(capacity_);
+  for (std::uint64_t i = 0; i < size; ++i) {
+    TraceEvent e;
+    e.ts_s = r.f64();
+    e.trace_id = r.u64();
+    e.node = static_cast<std::int32_t>(r.u32());
+    e.phase = static_cast<Phase>(r.u8());
+    e.name = intern(r.str());
+    e.cat = intern(r.str());
+    e.arg0_name = opt_str();
+    e.arg0 = r.f64();
+    e.arg1_name = opt_str();
+    e.arg1 = r.f64();
+    buf_.push_back(e);
   }
+  head_ = head;
+  total_ = total;
+  next_id_ = next_id;
   r.exit_section();
 }
 

@@ -72,22 +72,9 @@ class TraceRecorder {
 
   explicit TraceRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// Switches to per-shard buffers for sharded (ParallelRunner) execution:
-  /// the total capacity is split into `num_shards` independent rings and
-  /// every record()/new_trace_id() call is routed to the calling thread's
-  /// shard (vb::current_shard(); shard-less callers use ring 0), so shard
-  /// workers never contend — or race — on shared recorder state.  Exports
-  /// merge the rings into one deterministic timeline.  Clears any buffered
-  /// events; call before the run (PastryNetwork::enable_sharding does).
-  /// Idempotent for the same shard count.
-  void enable_sharded(int num_shards);
-  bool sharded() const { return sharded_; }
-
-  /// Mints a fresh trace id (never 0).  Purely local state: minting ids
-  /// does not perturb the simulation.  Serial ids are monotonic from 1;
-  /// sharded ids carry the minting shard in the top 16 bits, so id streams
-  /// are deterministic per shard and never collide across shards.
-  std::uint64_t new_trace_id();
+  /// Mints a fresh trace id, monotonic from 1 (never 0).  Purely local
+  /// state: minting ids does not perturb the simulation.
+  std::uint64_t new_trace_id() { return next_id_++; }
 
   void record(double ts_s, Phase phase, std::uint64_t trace_id, int node,
               const char* name, const char* cat,
@@ -114,17 +101,15 @@ class TraceRecorder {
   }
 
   std::size_t capacity() const { return capacity_; }
-  /// Events currently held (<= capacity), summed over shard rings.
-  std::size_t size() const;
+  /// Events currently held (<= capacity).
+  std::size_t size() const { return buf_.size(); }
   /// Every record() call ever made, including overwritten ones.
-  std::uint64_t total_recorded() const;
+  std::uint64_t total_recorded() const { return total_; }
   /// Events lost to ring wrap-around.
   std::uint64_t dropped() const { return total_recorded() - size(); }
   void clear();
 
-  /// Buffered events, oldest first.  Sharded rings are merged by
-  /// (timestamp, shard, ring position) — a pure function of the recorded
-  /// data, so the exported timeline is identical at any thread count.
+  /// Buffered events, oldest first.
   std::vector<TraceEvent> snapshot() const;
 
   // --- export ------------------------------------------------------------
@@ -139,41 +124,28 @@ class TraceRecorder {
   bool write(const std::string& path) const;
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  /// Serializes every ring (layout, counters, buffered events).  Event
+  /// Serializes the ring (capacity, counters, buffered events).  Event
   /// strings are written out by value, so the image does not depend on the
   /// writer process's literal addresses.
   void ckpt_save(ckpt::Writer& w) const;
 
-  /// Overwrites ring contents from the image.  The recorder must already be
-  /// configured identically (same capacity, same enable_sharded call);
-  /// layout mismatches throw CkptError.  Restored strings live in a
-  /// recorder-owned arena — same static-storage guarantee the literal
-  /// contract gives, different owner.
+  /// Overwrites ring contents from the image.  The recorder must already
+  /// have the same capacity; a mismatch throws CkptError.  Restored strings
+  /// live in a recorder-owned arena — same static-storage guarantee the
+  /// literal contract gives, different owner.
   void ckpt_restore(ckpt::Reader& r);
 
  private:
-  // One bounded ring.  Serial mode has exactly one; sharded mode one per
-  // shard.  alignas keeps adjacent shards' hot counters off a shared cache
-  // line.
-  struct alignas(64) Ring {
-    std::vector<TraceEvent> buf;
-    std::size_t cap = 0;
-    std::size_t head = 0;  // next write slot once the ring is full
-    std::size_t size = 0;
-    std::uint64_t total = 0;
-    std::uint64_t next_id = 1;
-  };
-
-  Ring& ring_for_caller();
-  static void record_into(Ring& r, const TraceEvent& e);
-  /// Ring `i`'s buffered events, oldest first.
-  void append_ring(std::vector<TraceEvent>& out, std::size_t i) const;
   /// Stable recorder-owned copy of `s` (checkpoint restore only).
   const char* intern(const std::string& s);
 
-  std::vector<Ring> rings_;
+  // One bounded ring: buf_ grows to capacity_, then head_ is the next slot
+  // to overwrite.
+  std::vector<TraceEvent> buf_;
   std::size_t capacity_;
-  bool sharded_ = false;
+  std::size_t head_ = 0;
+  std::uint64_t total_ = 0;
+  std::uint64_t next_id_ = 1;
   std::set<std::string> interned_;  // restored strings; node-stable c_str()s
 };
 

@@ -202,9 +202,6 @@ void PastryNetwork::bootstrap_bulk(std::vector<BulkFleetEntry> fleet) {
   if (!nodes_.empty()) {
     throw std::logic_error("bootstrap_bulk: network must be empty");
   }
-  if (runner_ != nullptr) {
-    throw std::logic_error("bootstrap_bulk: call before enable_sharding");
-  }
   std::sort(fleet.begin(), fleet.end(),
             [](const BulkFleetEntry& a, const BulkFleetEntry& b) {
               return a.id < b.id;

@@ -38,46 +38,6 @@ PastryNetwork::PastryNetwork(sim::Simulator* simulator, const net::Topology* top
   if (simulator == nullptr || topo == nullptr) {
     throw std::invalid_argument("PastryNetwork: null simulator/topology");
   }
-  wire_ = std::make_unique<WireCounter[]>(1);
-}
-
-void PastryNetwork::enable_sharding(sim::ParallelRunner* runner,
-                                    std::vector<int> shard_of_host) {
-  if (runner == nullptr) {
-    runner_ = nullptr;
-    shard_of_host_.clear();
-    wire_shards_ = 1;
-    wire_ = std::make_unique<WireCounter[]>(1);
-    return;
-  }
-  if (static_cast<int>(shard_of_host.size()) != topo_->num_hosts()) {
-    throw std::invalid_argument("enable_sharding: bad shard map size");
-  }
-  for (int s : shard_of_host) {
-    if (s < 0 || s >= runner->num_shards()) {
-      throw std::invalid_argument("enable_sharding: shard index out of range");
-    }
-  }
-  // The conservative-window contract: every cross-shard link must be at
-  // least one lookahead long, or post() would be asked to schedule into the
-  // current window.  Fail loudly at setup rather than mid-run.
-  if (runner->lookahead_s() >
-      topo_->min_cross_shard_latency_s(shard_of_host)) {
-    throw std::invalid_argument(
-        "enable_sharding: lookahead exceeds the minimum cross-shard latency");
-  }
-  runner_ = runner;
-  shard_of_host_ = std::move(shard_of_host);
-  wire_shards_ = static_cast<std::size_t>(runner_->num_shards());
-  wire_ = std::make_unique<WireCounter[]>(wire_shards_);
-  if (trace_ != nullptr) trace_->enable_sharded(runner_->num_shards());
-}
-
-void PastryNetwork::set_trace(obs::TraceRecorder* t) {
-  trace_ = t;
-  if (trace_ != nullptr && runner_ != nullptr) {
-    trace_->enable_sharded(runner_->num_shards());
-  }
 }
 
 PastryNetwork::Entry& PastryNetwork::entry_of(const U128& id) {
@@ -194,8 +154,7 @@ NodeHandle PastryNetwork::global_closest(const U128& key) const {
 }
 
 sim::FaultDecision PastryNetwork::consult_fault_plan(const NodeHandle& from,
-                                                     const NodeHandle& to,
-                                                     Entry& sender) {
+                                                     const NodeHandle& to) {
   if (fault_plan_ == nullptr) return {};
   sim::FaultEndpoints ep;
   ep.src_host = static_cast<int>(from.host);
@@ -204,13 +163,6 @@ sim::FaultDecision PastryNetwork::consult_fault_plan(const NodeHandle& from,
   ep.dst_rack = topo_->rack_of(to.host);
   ep.src_pod = topo_->pod_of(from.host);
   ep.dst_pod = topo_->pod_of(to.host);
-  if (runner_ != nullptr) {
-    // Sharded mode: the plan's sequential Rng would be drawn in a
-    // thread-dependent order (and raced outright).  Key the verdict by
-    // (sender node, per-sender ordinal) instead — order-free, replayable.
-    return fault_plan_->decide_keyed(now_for(from.host), ep, from.id.lo(),
-                                     sender.fault_seq++);
-  }
   return fault_plan_->decide(sim_->now(), ep);
 }
 
@@ -221,12 +173,11 @@ void PastryNetwork::send_route(const NodeHandle& from, const NodeHandle& to,
   if (!sender.alive) return;
   sender.counters.add(msg.category,
                       msg.payload ? msg.payload->wire_bytes() : 16);
-  sim::Simulator& src_sim = simulator_for(from.host);
-  sim::FaultDecision fault = consult_fault_plan(from, to, sender);
+  sim::FaultDecision fault = consult_fault_plan(from, to);
   if (fault.drop) {
     sender.counters.fault_dropped_msgs += 1;
     if (trace_ != nullptr) {
-      trace_->instant(src_sim.now(), msg.trace_id, static_cast<int>(from.host),
+      trace_->instant(sim_->now(), msg.trace_id, static_cast<int>(from.host),
                       fault.partitioned ? "fault.partition_drop" : "fault.drop",
                       "fault", "dst_host", static_cast<double>(to.host));
     }
@@ -239,53 +190,28 @@ void PastryNetwork::send_route(const NodeHandle& from, const NodeHandle& to,
   // key): a separate U128 copy would push the hop closure past EventFn's
   // inline buffer — see the static_assert below.
   auto deliver = [this, from_id, to_handle](RouteMsg m) mutable {
-    wire_dec(to_handle.host);  // this copy is off the wire, whatever happens
+    --wire_in_flight_;  // this copy is off the wire, whatever happens
     auto it = nodes_.find(to_handle.id);
     if (it == nodes_.end() || !it->second.alive) {
-      // Destination dead: surface the failure to the sender after a
-      // timeout-like delay (one more latency unit).
+      // Destination dead: hand the message back to the live sender's
+      // failure handler (purge + reroute).
       auto sit = nodes_.find(from_id);
       if (sit == nodes_.end() || !sit->second.alive) return;
-      PastryNode& snode = *sit->second.node;
-      if (runner_ != nullptr &&
-          shard_of(snode.handle().host) != vb::current_shard()) {
-        // The bounce crosses shards: hand it back on the sender's own shard
-        // one link latency later (>= lookahead by the sharding contract).
-        wire_inc(snode.handle().host);
-        runner_->post(
-            shard_of(snode.handle().host),
-            simulator_for(to_handle.host).now() +
-                topo_->latency_s(to_handle.host, snode.handle().host),
-            [this, from_id, to_handle, m = std::move(m)]() mutable {
-              auto s2 = nodes_.find(from_id);
-              wire_dec(s2->second.node->handle().host);
-              if (!s2->second.alive) return;
-              s2->second.node->handle_send_failure(to_handle, &m);
-            });
-        return;
-      }
-      snode.handle_send_failure(to_handle, &m);
+      sit->second.node->handle_send_failure(to_handle, &m);
       return;
     }
     it->second.node->handle_route_msg(std::move(m));
   };
-  bool cross = runner_ != nullptr && shard_of(from.host) != shard_of(to.host);
   if (fault.duplicate) {
     sender.counters.fault_dup_msgs += 1;
     if (trace_ != nullptr) {
-      trace_->instant(src_sim.now(), msg.trace_id, static_cast<int>(from.host),
+      trace_->instant(sim_->now(), msg.trace_id, static_cast<int>(from.host),
                       "fault.dup", "fault", "dst_host",
                       static_cast<double>(to.host));
     }
-    auto dup = [deliver, m = msg]() mutable { deliver(std::move(m)); };
-    wire_inc(to.host);
-    if (cross) {
-      runner_->post(shard_of(to.host),
-                    src_sim.now() + lat + fault.dup_extra_delay_s,
-                    std::move(dup));
-    } else {
-      src_sim.schedule_in(lat + fault.dup_extra_delay_s, std::move(dup));
-    }
+    ++wire_in_flight_;
+    sim_->schedule_in(lat + fault.dup_extra_delay_s,
+                      [deliver, m = msg]() mutable { deliver(std::move(m)); });
   }
   auto primary = [deliver, m = std::move(msg)]() mutable {
     deliver(std::move(m));
@@ -294,13 +220,8 @@ void PastryNetwork::send_route(const NodeHandle& from, const NodeHandle& to,
   // the EventFn inline buffer every hop heap-allocates (~15% throughput).
   static_assert(sizeof(primary) <= sim::EventFn::inline_capacity(),
                 "route-hop closure must stay inline; grow kDefaultInlineBytes");
-  wire_inc(to.host);
-  if (cross) {
-    runner_->post(shard_of(to.host), src_sim.now() + lat + fault.extra_delay_s,
-                  std::move(primary));
-  } else {
-    src_sim.schedule_in(lat + fault.extra_delay_s, std::move(primary));
-  }
+  ++wire_in_flight_;
+  sim_->schedule_in(lat + fault.extra_delay_s, std::move(primary));
 }
 
 void PastryNetwork::send_direct(const NodeHandle& from, const NodeHandle& to,
@@ -308,12 +229,11 @@ void PastryNetwork::send_direct(const NodeHandle& from, const NodeHandle& to,
   Entry& sender = entry_of(from.id);
   if (!sender.alive) return;
   sender.counters.add(category, payload ? payload->wire_bytes() : 16);
-  sim::Simulator& src_sim = simulator_for(from.host);
-  sim::FaultDecision fault = consult_fault_plan(from, to, sender);
+  sim::FaultDecision fault = consult_fault_plan(from, to);
   if (fault.drop) {
     sender.counters.fault_dropped_msgs += 1;
     if (trace_ != nullptr) {
-      trace_->instant(src_sim.now(), payload ? payload->trace_id() : 0,
+      trace_->instant(sim_->now(), payload ? payload->trace_id() : 0,
                       static_cast<int>(from.host),
                       fault.partitioned ? "fault.partition_drop" : "fault.drop",
                       "fault", "dst_host", static_cast<double>(to.host));
@@ -329,55 +249,28 @@ void PastryNetwork::send_direct(const NodeHandle& from, const NodeHandle& to,
   NodeHandle to_handle = to;
   auto deliver = [this, from_id, to_id, from_handle, to_handle,
                   p = std::move(payload), category]() {
-    wire_dec(to_handle.host);  // this copy is off the wire, whatever happens
+    --wire_in_flight_;  // this copy is off the wire, whatever happens
     auto it = nodes_.find(to_id);
     if (it == nodes_.end() || !it->second.alive) {
       auto sit = nodes_.find(from_id);
       if (sit == nodes_.end() || !sit->second.alive) return;
-      PastryNode& snode = *sit->second.node;
-      if (runner_ != nullptr &&
-          shard_of(snode.handle().host) != vb::current_shard()) {
-        wire_inc(snode.handle().host);
-        runner_->post(
-            shard_of(snode.handle().host),
-            simulator_for(to_handle.host).now() +
-                topo_->latency_s(to_handle.host, snode.handle().host),
-            [this, from_id, to_handle]() {
-              auto s2 = nodes_.find(from_id);
-              wire_dec(s2->second.node->handle().host);
-              if (!s2->second.alive) return;
-              s2->second.node->handle_send_failure(to_handle, nullptr);
-            });
-        return;
-      }
-      snode.handle_send_failure(to_handle, nullptr);
+      sit->second.node->handle_send_failure(to_handle, nullptr);
       return;
     }
     it->second.node->handle_direct_msg(from_handle, p, category);
   };
-  bool cross = runner_ != nullptr && shard_of(from.host) != shard_of(to.host);
   if (fault.duplicate) {
     sender.counters.fault_dup_msgs += 1;
     if (trace_ != nullptr) {
-      trace_->instant(src_sim.now(), payload_trace, static_cast<int>(from.host),
+      trace_->instant(sim_->now(), payload_trace, static_cast<int>(from.host),
                       "fault.dup", "fault", "dst_host",
                       static_cast<double>(to.host));
     }
-    wire_inc(to.host);
-    if (cross) {
-      runner_->post(shard_of(to.host),
-                    src_sim.now() + lat + fault.dup_extra_delay_s, deliver);
-    } else {
-      src_sim.schedule_in(lat + fault.dup_extra_delay_s, deliver);
-    }
+    ++wire_in_flight_;
+    sim_->schedule_in(lat + fault.dup_extra_delay_s, deliver);
   }
-  wire_inc(to.host);
-  if (cross) {
-    runner_->post(shard_of(to.host), src_sim.now() + lat + fault.extra_delay_s,
-                  std::move(deliver));
-  } else {
-    src_sim.schedule_in(lat + fault.extra_delay_s, std::move(deliver));
-  }
+  ++wire_in_flight_;
+  sim_->schedule_in(lat + fault.extra_delay_s, std::move(deliver));
 }
 
 const TrafficCounters& PastryNetwork::counters(const U128& id) const {
@@ -489,7 +382,6 @@ void PastryNetwork::ckpt_save(ckpt::Writer& w) const {
   for (const auto& [id, e] : nodes_) {
     w.u128(id);
     w.boolean(e.alive);
-    w.u64(e.fault_seq);
     for (std::uint64_t v : e.counters.msgs_sent) w.u64(v);
     for (std::uint64_t v : e.counters.bytes_sent) w.u64(v);
     w.u64(e.counters.fault_dropped_msgs);
@@ -521,7 +413,6 @@ void PastryNetwork::ckpt_restore(ckpt::Reader& r) {
                             "checkpoint");
     }
     e.alive = alive;  // re-kill nodes that had failed by checkpoint time
-    e.fault_seq = r.u64();
     for (std::uint64_t& v : e.counters.msgs_sent) v = r.u64();
     for (std::uint64_t& v : e.counters.bytes_sent) v = r.u64();
     e.counters.fault_dropped_msgs = r.u64();

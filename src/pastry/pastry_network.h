@@ -7,7 +7,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -17,7 +16,6 @@
 #include "net/topology.h"
 #include "pastry/pastry_node.h"
 #include "sim/fault_plan.h"
-#include "sim/parallel_runner.h"
 #include "sim/simulator.h"
 
 namespace vb::obs {
@@ -125,9 +123,8 @@ class PastryNetwork {
   /// Attaches a trace recorder; nullptr (the default) detaches.  Recording
   /// is passive — it never schedules events or draws randomness — so sim
   /// outcomes are bit-identical with tracing on or off, and the hot paths
-  /// pay a single null-pointer test when tracing is disabled.  In sharded
-  /// mode the recorder is switched to per-shard buffers automatically.
-  void set_trace(obs::TraceRecorder* t);
+  /// pay a single null-pointer test when tracing is disabled.
+  void set_trace(obs::TraceRecorder* t) { trace_ = t; }
   obs::TraceRecorder* trace() const { return trace_; }
 
   /// Pushes transport roll-ups into `reg` as `pastry.*` / `fault.*` series:
@@ -144,70 +141,25 @@ class PastryNetwork {
   std::uint64_t total_msgs() const;
 
   /// Number of hops the most recent delivered route took (test aid).
-  /// Serial mode only — in sharded mode concurrent deliveries would race on
-  /// one slot, so the note becomes a no-op.
-  void note_delivery_hops(int hops) {
-    if (runner_ == nullptr) last_delivery_hops_ = hops;
-  }
+  void note_delivery_hops(int hops) { last_delivery_hops_ = hops; }
   int last_delivery_hops() const { return last_delivery_hops_; }
 
   sim::Simulator& simulator() { return *sim_; }
   const net::Topology& topology() const { return *topo_; }
-
-  // --- sharded (parallel) mode -------------------------------------------
-  /// Switches the transport into ParallelRunner mode: host h's node stack
-  /// belongs to shard `shard_of_host[h]`, every node event (delivery,
-  /// retransmit timer, trace stamp) runs on that shard's simulator, and
-  /// sends between hosts in different shards travel through the runner's
-  /// mailboxes.  Requirements (see docs/ARCHITECTURE.md, "Sharding
-  /// contract"):
-  ///   * call after nodes exist (oracle bootstrap) and before any traffic;
-  ///   * the map must be rack-aligned and runner->lookahead_s() must not
-  ///     exceed Topology::min_cross_shard_latency_s(map) — verified here;
-  ///   * membership changes (kill/depart/add) only between run_until calls;
-  ///   * an attached FaultPlan is consulted via decide_keyed — verdicts are
-  ///     a pure function of (plan seed, sender node, per-sender ordinal),
-  ///     so chaos replays bit-identically at any thread count.
-  void enable_sharding(sim::ParallelRunner* runner,
-                       std::vector<int> shard_of_host);
-  bool sharded() const { return runner_ != nullptr; }
-  int shard_of(net::HostId h) const {
-    return runner_ == nullptr
-               ? 0
-               : shard_of_host_[static_cast<std::size_t>(h)];
-  }
-
-  /// The simulator that drives host `h` — its shard's in sharded mode, the
-  /// global one otherwise.  All per-node scheduling and now() reads go
-  /// through this so node code is oblivious to the execution mode.
-  sim::Simulator& simulator_for(net::HostId h) {
-    return runner_ == nullptr ? *sim_ : runner_->shard(shard_of(h));
-  }
-  double now_for(net::HostId h) { return simulator_for(h).now(); }
 
   /// Runs one stabilization round on every live node (benches call this
   /// between protocol phases to mimic Pastry's periodic maintenance).
   void stabilize_all();
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  /// Scheduled-but-undelivered transport copies (primary, fault duplicates,
-  /// cross-shard failure bounces).  Zero is the quiesce-barrier condition:
-  /// every pending event is then a periodic tick or a component-owned timer.
-  /// Relaxed atomics — only read at barriers, never raced mid-window
-  /// (each counter is touched by its destination shard's worker plus
-  /// senders *scheduling into* that shard, which the runner's mailbox
-  /// machinery already orders).
-  std::int64_t wire_in_flight() const {
-    std::int64_t n = 0;
-    for (std::size_t s = 0; s < wire_shards_; ++s) {
-      n += wire_[s].n.load(std::memory_order_relaxed);
-    }
-    return n;
-  }
+  /// Scheduled-but-undelivered transport copies (primaries and fault
+  /// duplicates).  Zero is the quiesce-barrier condition: every pending
+  /// event is then a periodic tick or a component-owned timer.
+  std::int64_t wire_in_flight() const { return wire_in_flight_; }
 
-  /// Serializes per-node transport entries (liveness, traffic counters,
-  /// keyed-fault ordinals) and each node's protocol state.  Must be called
-  /// at a quiesce barrier; throws CkptError if wire_in_flight() != 0.
+  /// Serializes per-node transport entries (liveness, traffic counters)
+  /// and each node's protocol state.  Must be called at a quiesce barrier;
+  /// throws CkptError if wire_in_flight() != 0.
   void ckpt_save(ckpt::Writer& w) const;
 
   /// Restores entries and nodes.  The reconstruction must contain the same
@@ -219,45 +171,23 @@ class PastryNetwork {
   struct Entry {
     std::unique_ptr<PastryNode> node;
     TrafficCounters counters;
-    /// Per-sender message ordinal — the counter half of the keyed fault
-    /// stream in sharded mode.  Only the sender's own shard touches it.
-    std::uint64_t fault_seq = 0;
     bool alive = true;
   };
 
   Entry& entry_of(const U128& id);
 
   /// Consults the fault plan (if any) for one message from→to.  Returns the
-  /// default no-fault decision when no plan is attached.  `sender` supplies
-  /// the keyed-stream ordinal in sharded mode.
+  /// default no-fault decision when no plan is attached.
   sim::FaultDecision consult_fault_plan(const NodeHandle& from,
-                                        const NodeHandle& to, Entry& sender);
-
-  // One in-flight counter per destination shard, cache-line padded so shard
-  // workers don't false-share.  A raw array: std::vector<atomic> cannot be
-  // resized, and the count is fixed once sharding is configured.
-  struct alignas(64) WireCounter {
-    std::atomic<std::int64_t> n{0};
-  };
-  void wire_inc(net::HostId dst) {
-    wire_[static_cast<std::size_t>(shard_of(dst))].n.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  void wire_dec(net::HostId dst) {
-    wire_[static_cast<std::size_t>(shard_of(dst))].n.fetch_sub(
-        1, std::memory_order_relaxed);
-  }
+                                        const NodeHandle& to);
 
   sim::Simulator* sim_;
   const net::Topology* topo_;
   std::map<U128, Entry> nodes_;  // ordered: gives ring order for oracle ops
   sim::FaultPlan* fault_plan_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
-  sim::ParallelRunner* runner_ = nullptr;  // non-null = sharded mode
-  std::vector<int> shard_of_host_;
   int last_delivery_hops_ = 0;
-  std::unique_ptr<WireCounter[]> wire_;
-  std::size_t wire_shards_ = 1;
+  std::int64_t wire_in_flight_ = 0;
 };
 
 }  // namespace vb::pastry

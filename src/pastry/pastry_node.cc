@@ -37,7 +37,7 @@ void PastryNode::route(const U128& key, PayloadPtr payload,
     // being routed), else mint a fresh id for this route.
     std::uint64_t payload_trace = msg.payload ? msg.payload->trace_id() : 0;
     msg.trace_id = payload_trace != 0 ? payload_trace : tr->new_trace_id();
-    tr->begin(network_->simulator_for(handle_.host).now(), msg.trace_id,
+    tr->begin(network_->simulator().now(), msg.trace_id,
               static_cast<int>(handle_.host), "pastry.route", "pastry");
   }
   handle_route_msg(std::move(msg));
@@ -61,7 +61,7 @@ void PastryNode::send_reliable(const NodeHandle& dest, PayloadPtr payload,
     // chain id when it has one so the reliable hop nests in its chain.
     std::uint64_t inner_trace = env->inner ? env->inner->trace_id() : 0;
     env->trace = inner_trace != 0 ? inner_trace : tr->new_trace_id();
-    tr->instant(network_->simulator_for(handle_.host).now(), env->trace,
+    tr->instant(network_->simulator().now(), env->trace,
                 static_cast<int>(handle_.host), "rel.send", "reliable", "seq",
                 static_cast<double>(env->seq));
   }
@@ -70,7 +70,7 @@ void PastryNode::send_reliable(const NodeHandle& dest, PayloadPtr payload,
   pending.dest = dest;
   pending.envelope = env;
   std::uint64_t seq = env->seq;
-  pending.timer = network_->simulator_for(handle_.host).schedule_in(
+  pending.timer = network_->simulator().schedule_in(
       pending.rto_s, [this, seq]() { retransmit_reliable(seq); });
   pending_reliable_.emplace(seq, std::move(pending));
 
@@ -90,10 +90,10 @@ void PastryNode::retransmit_reliable(std::uint64_t seq) {
   }
   p.attempts += 1;
   p.rto_s = std::min(p.rto_s * 2.0, kReliableMaxRtoS);
-  p.timer = network_->simulator_for(handle_.host).schedule_in(
+  p.timer = network_->simulator().schedule_in(
       p.rto_s, [this, seq]() { retransmit_reliable(seq); });
   if (obs::TraceRecorder* tr = network_->trace()) {
-    tr->instant(network_->simulator_for(handle_.host).now(), p.envelope->trace_id(),
+    tr->instant(network_->simulator().now(), p.envelope->trace_id(),
                 static_cast<int>(handle_.host), "rel.retransmit", "reliable",
                 "seq", static_cast<double>(seq), "attempt",
                 static_cast<double>(p.attempts));
@@ -104,7 +104,7 @@ void PastryNode::retransmit_reliable(std::uint64_t seq) {
 void PastryNode::fail_pending_reliable_to(const NodeHandle& dead) {
   for (auto it = pending_reliable_.begin(); it != pending_reliable_.end();) {
     if (it->second.dest.id == dead.id) {
-      network_->simulator_for(handle_.host).cancel(it->second.timer);
+      network_->simulator().cancel(it->second.timer);
       it = pending_reliable_.erase(it);
     } else {
       ++it;
@@ -179,8 +179,8 @@ void PastryNode::send_join_request() {
   // The join is routed fire-and-forget, so a lossy network can eat it (or
   // the leaf-set transfer coming back).  Re-issue until that transfer
   // arrives; the whole join protocol is idempotent on duplicates.
-  join_timer_ = network_->simulator_for(handle_.host)
-                    .schedule_in(kJoinRetryS, [this]() { retry_join(); });
+  join_timer_ = network_->simulator().schedule_in(
+      kJoinRetryS, [this]() { retry_join(); });
   network_->send_route(handle_, join_bootstrap_, std::move(msg));
 }
 
@@ -232,9 +232,8 @@ void PastryNode::scan_advance() {
   scan_candidates_.erase(it);
   auto ping = std::make_shared<internal::RingScan>();
   ping->origin = handle_;
-  scan_timer_ = network_->simulator_for(handle_.host)
-                    .schedule_in(kScanStepTimeoutS,
-                                 [this]() { scan_step_timeout(); });
+  scan_timer_ = network_->simulator().schedule_in(
+      kScanStepTimeoutS, [this]() { scan_step_timeout(); });
   send_reliable(scan_target_, std::move(ping),
                 MsgCategory::kOverlayMaintenance);
 }
@@ -328,7 +327,7 @@ void PastryNode::handle_route_msg(RouteMsg msg) {
     }
     network_->note_delivery_hops(msg.hops);
     if (obs::TraceRecorder* tr = network_->trace()) {
-      tr->end(network_->simulator_for(handle_.host).now(), msg.trace_id,
+      tr->end(network_->simulator().now(), msg.trace_id,
               static_cast<int>(handle_.host), "pastry.route", "pastry", "hops",
               static_cast<double>(msg.hops));
     }
@@ -342,7 +341,7 @@ void PastryNode::handle_route_msg(RouteMsg msg) {
     }
   }
   if (obs::TraceRecorder* tr = network_->trace()) {
-    tr->instant(network_->simulator_for(handle_.host).now(), msg.trace_id,
+    tr->instant(network_->simulator().now(), msg.trace_id,
                 static_cast<int>(handle_.host), "pastry.hop", "pastry", "hop",
                 static_cast<double>(msg.hops), "next_host",
                 static_cast<double>(next.host));
@@ -375,13 +374,13 @@ void PastryNode::handle_direct_msg(const NodeHandle& from,
     auto it = pending_reliable_.find(ack->seq);
     if (it != pending_reliable_.end()) {
       if (obs::TraceRecorder* tr = network_->trace()) {
-        tr->instant(network_->simulator_for(handle_.host).now(),
+        tr->instant(network_->simulator().now(),
                     it->second.envelope->trace_id(),
                     static_cast<int>(handle_.host), "rel.acked", "reliable",
                     "seq", static_cast<double>(ack->seq), "attempts",
                     static_cast<double>(it->second.attempts));
       }
-      network_->simulator_for(handle_.host).cancel(it->second.timer);
+      network_->simulator().cancel(it->second.timer);
       pending_reliable_.erase(it);
     }
     return;
@@ -393,7 +392,7 @@ void PastryNode::handle_direct_msg(const NodeHandle& from,
       // The join's leaf-set transfer: stop re-issuing the JoinRequest.
       join_bootstrap_ = NodeHandle{};
       if (join_timer_ != sim::kInvalidEventId) {
-        network_->simulator_for(handle_.host).cancel(join_timer_);
+        network_->simulator().cancel(join_timer_);
         join_timer_ = sim::kInvalidEventId;
       }
       // Leaf set received: announce ourselves to everyone we now know.
@@ -431,7 +430,7 @@ void PastryNode::handle_direct_msg(const NodeHandle& from,
     if (scan_active_ && scan_target_.valid() &&
         from.id == scan_target_.id) {
       if (scan_timer_ != sim::kInvalidEventId) {
-        network_->simulator_for(handle_.host).cancel(scan_timer_);
+        network_->simulator().cancel(scan_timer_);
         scan_timer_ = sim::kInvalidEventId;
       }
       scan_target_ = NodeHandle{};
@@ -491,7 +490,7 @@ void PastryNode::handle_send_failure(const NodeHandle& dead,
     // The sweep's current target bounced; skip it without waiting for the
     // step timeout.
     if (scan_timer_ != sim::kInvalidEventId) {
-      network_->simulator_for(handle_.host).cancel(scan_timer_);
+      network_->simulator().cancel(scan_timer_);
       scan_timer_ = sim::kInvalidEventId;
     }
     scan_target_ = NodeHandle{};
@@ -516,7 +515,7 @@ void PastryNode::ckpt_save(ckpt::Writer& w) const {
     w.u32(static_cast<std::uint32_t>(seqs.size()));
     for (std::uint64_t s : seqs) w.u64(s);
   }
-  sim::Simulator& sim = network_->simulator_for(handle_.host);
+  sim::Simulator& sim = network_->simulator();
   w.u32(static_cast<std::uint32_t>(pending_reliable_.size()));
   for (const auto& [seq, p] : pending_reliable_) {
     w.u64(seq);
@@ -573,7 +572,7 @@ void PastryNode::ckpt_restore(ckpt::Reader& r) {
     std::uint32_t n = r.u32();
     for (std::uint32_t k = 0; k < n; ++k) seqs.insert(r.u64());
   }
-  sim::Simulator& sim = network_->simulator_for(handle_.host);
+  sim::Simulator& sim = network_->simulator();
   for (auto& [seq, p] : pending_reliable_) sim.cancel(p.timer);
   pending_reliable_.clear();
   std::uint32_t pending_n = r.u32();

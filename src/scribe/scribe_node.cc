@@ -57,7 +57,7 @@ void ScribeNode::join(const GroupId& group) {
 
 void ScribeNode::send_join(const GroupId& group, GroupState& st) {
   st.join_pending = true;
-  double now = owner_->network().simulator_for(owner_->host()).now();
+  double now = owner_->network().simulator().now();
   st.next_join_retry_s = now + st.join_backoff_s;
   st.join_backoff_s = std::min(st.join_backoff_s * 2.0, kJoinBackoffMaxS);
   auto msg = std::make_shared<JoinMsg>();
@@ -120,7 +120,7 @@ void ScribeNode::maintenance() {
   // bounce, so a node that stays unattached past its backoff deadline sends
   // a fresh one.  Backoff doubles up to kJoinBackoffMaxS; it resets once
   // the node attaches.
-  double now = owner_->network().simulator_for(owner_->host()).now();
+  double now = owner_->network().simulator().now();
   for (auto& [group, st] : groups_) {
     if (st.member && st.join_pending && !st.attached && !st.root &&
         now >= st.next_join_retry_s) {
@@ -149,7 +149,7 @@ void ScribeNode::anycast(const GroupId& group, PayloadPtr inner,
   walk->inner_category = category;
   if (obs::TraceRecorder* tr = owner_->network().trace()) {
     walk->trace = tr->new_trace_id();
-    tr->begin(owner_->network().simulator_for(owner_->host()).now(), walk->trace,
+    tr->begin(owner_->network().simulator().now(), walk->trace,
               static_cast<int>(owner_->handle().host), "scribe.anycast",
               "scribe");
   }
@@ -348,7 +348,7 @@ void ScribeNode::push_neighbors(WalkMsg& walk, const GroupState& st) const {
 
 void ScribeNode::process_walk(std::shared_ptr<WalkMsg> walk) {
   if (obs::TraceRecorder* tr = owner_->network().trace()) {
-    tr->instant(owner_->network().simulator_for(owner_->host()).now(), walk->trace,
+    tr->instant(owner_->network().simulator().now(), walk->trace,
                 static_cast<int>(owner_->handle().host), "anycast.visit",
                 "scribe", "nodes_visited",
                 static_cast<double>(walk->nodes_visited));
@@ -445,7 +445,7 @@ void ScribeNode::receive_direct(pastry::PastryNode& self,
   }
   if (auto ok = std::dynamic_pointer_cast<const AnycastAcceptedMsg>(payload)) {
     if (obs::TraceRecorder* tr = owner_->network().trace()) {
-      tr->end(owner_->network().simulator_for(owner_->host()).now(), ok->trace,
+      tr->end(owner_->network().simulator().now(), ok->trace,
               static_cast<int>(owner_->handle().host), "scribe.anycast",
               "scribe", "accepted", 1.0, "nodes_visited",
               static_cast<double>(ok->nodes_visited));
@@ -458,7 +458,7 @@ void ScribeNode::receive_direct(pastry::PastryNode& self,
   }
   if (auto fail = std::dynamic_pointer_cast<const AnycastFailedMsg>(payload)) {
     if (obs::TraceRecorder* tr = owner_->network().trace()) {
-      tr->end(owner_->network().simulator_for(owner_->host()).now(), fail->trace,
+      tr->end(owner_->network().simulator().now(), fail->trace,
               static_cast<int>(owner_->handle().host), "scribe.anycast",
               "scribe", "accepted", 0.0, "nodes_visited",
               static_cast<double>(fail->nodes_visited));

@@ -99,8 +99,7 @@ bool crosses_partition(const PartitionWindow& p, const FaultEndpoints& ep) {
 
 }  // namespace
 
-FaultDecision FaultPlan::decide_with(Rng& rng, double now_s,
-                                     const FaultEndpoints& ep) const {
+FaultDecision FaultPlan::decide(double now_s, const FaultEndpoints& ep) {
   FaultDecision d;
   for (const PartitionWindow& p : partitions_) {
     if (now_s >= p.start_s && now_s < p.end_s && crosses_partition(p, ep)) {
@@ -114,11 +113,11 @@ FaultDecision FaultPlan::decide_with(Rng& rng, double now_s,
     if (w.dst_host != -1 && w.dst_host != ep.dst_host) continue;
     // Every probabilistic clause draws exactly when its window is active,
     // in window order — the deterministic replay contract.
-    if (w.drop_prob > 0.0 && rng.chance(w.drop_prob)) d.drop = true;
-    if (w.dup_prob > 0.0 && rng.chance(w.dup_prob)) d.duplicate = true;
+    if (w.drop_prob > 0.0 && rng_.chance(w.drop_prob)) d.drop = true;
+    if (w.dup_prob > 0.0 && rng_.chance(w.dup_prob)) d.duplicate = true;
     d.extra_delay_s += w.delay_extra_s;
     if (w.jitter_max_s > 0.0) {
-      d.extra_delay_s += rng.uniform(0.0, w.jitter_max_s);
+      d.extra_delay_s += rng_.uniform(0.0, w.jitter_max_s);
     }
   }
   if (d.drop) {
@@ -126,29 +125,9 @@ FaultDecision FaultPlan::decide_with(Rng& rng, double now_s,
   } else if (d.duplicate) {
     // The duplicate trails the primary by its own small jitter, so the two
     // copies can reorder against other traffic independently.
-    d.dup_extra_delay_s = d.extra_delay_s + rng.uniform(0.0, 0.05);
+    d.dup_extra_delay_s = d.extra_delay_s + rng_.uniform(0.0, 0.05);
   }
   return d;
-}
-
-FaultDecision FaultPlan::decide(double now_s, const FaultEndpoints& ep) {
-  return decide_with(rng_, now_s, ep);
-}
-
-FaultDecision FaultPlan::decide_keyed(double now_s, const FaultEndpoints& ep,
-                                      std::uint64_t stream,
-                                      std::uint64_t counter) const {
-  // splitmix64-style finalizer over (seed, stream, counter): adjacent
-  // counters on one stream, and the same counter on adjacent streams, get
-  // decorrelated draws.
-  std::uint64_t z = seed_;
-  z += 0x9E3779B97F4A7C15ULL * (stream + 0x632BE59BD9B4E019ULL);
-  z += 0xC2B2AE3D27D4EB4FULL * (counter + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z ^= z >> 31;
-  Rng local(z);
-  return decide_with(local, now_s, ep);
 }
 
 FaultPlan FaultPlan::fresh() const {

@@ -90,24 +90,12 @@ class FaultPlan {
   /// the replay contract (deterministic because the simulator is).
   FaultDecision decide(double now_s, const FaultEndpoints& ep);
 
-  /// Order-free variant for the sharded transport (ParallelRunner mode),
-  /// where the single-Rng call-order contract above would make verdicts
-  /// depend on cross-shard scheduling (and race across worker threads).
-  /// Randomness instead derives from (plan seed, stream, counter) — the
-  /// transport keys it as (sender host, per-sender message ordinal) — so a
-  /// message's verdict is a pure function of its identity and the same
-  /// script replays bit-identically at any shard/thread count.  Const:
-  /// never touches the plan's own Rng.
-  FaultDecision decide_keyed(double now_s, const FaultEndpoints& ep,
-                             std::uint64_t stream,
-                             std::uint64_t counter) const;
-
   /// A copy of this script with its Rng rewound to the seed — the "same
   /// (seed, plan)" object for a bit-identical replay.
   FaultPlan fresh() const;
 
-  /// Checkpoint accessors for the serial decide() path's Rng — the only
-  /// state decide() mutates.  decide_keyed() is const and needs nothing.
+  /// Checkpoint accessors for the plan's Rng, the only state decide()
+  /// mutates.
   Rng::State ckpt_rng_state() const { return rng_.ckpt_state(); }
   void ckpt_restore_rng(const Rng::State& s) { rng_.ckpt_restore(s); }
 
@@ -147,11 +135,6 @@ class FaultPlan {
   static constexpr double kForever = std::numeric_limits<double>::infinity();
 
  private:
-  /// Shared evaluation loop; `rng` is the plan's own Rng (decide) or a
-  /// per-message keyed Rng (decide_keyed).
-  FaultDecision decide_with(Rng& rng, double now_s,
-                            const FaultEndpoints& ep) const;
-
   std::uint64_t seed_;
   Rng rng_;
   std::vector<FaultWindow> windows_;

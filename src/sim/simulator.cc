@@ -85,17 +85,6 @@ void Simulator::run_until(SimTime t) {
   if (now_ < t) now_ = t;
 }
 
-void Simulator::run_window(SimTime end, bool inclusive) {
-  while (!queue_.empty()) {
-    SimTime next = queue_.next_time();
-    if (inclusive ? next > end : next >= end) break;
-    now_ = next;
-    ++executed_;
-    queue_.run_top();
-  }
-  if (now_ < end) now_ = end;
-}
-
 void Simulator::run_to_completion() {
   while (!queue_.empty()) {
     now_ = queue_.next_time();

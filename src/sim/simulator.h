@@ -87,14 +87,6 @@ class Simulator {
   /// Afterwards now() == min(t, drain time).  Events at exactly `t` run.
   void run_until(SimTime t);
 
-  /// Window-bounded drain for the parallel engine (ParallelRunner): runs
-  /// events with time < `end` (or <= `end` when `inclusive`, used for the
-  /// final window of a run), then advances now() to `end` even if the queue
-  /// still holds later events.  An event scheduled exactly at a window
-  /// boundary therefore fires in the *next* window — after the barrier has
-  /// merged that window's cross-shard mailboxes in canonical order.
-  void run_window(SimTime end, bool inclusive);
-
   /// Runs until the event queue is empty.
   void run_to_completion();
 
@@ -103,11 +95,6 @@ class Simulator {
 
   /// True if no events are pending.
   bool idle() const { return queue_.empty(); }
-
-  /// Timestamp of the earliest pending event; the queue must be non-empty.
-  /// (Non-const: may lazily drop cancelled entries.)  ParallelRunner uses
-  /// this to pick the next conservative window.
-  SimTime peek_next_time() { return queue_.next_time(); }
 
   /// Number of events executed so far.
   std::uint64_t events_executed() const { return executed_; }

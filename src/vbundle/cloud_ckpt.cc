@@ -1,6 +1,6 @@
 // VBundleCloud checkpoint/restore: the top-level save/restore walk over the
-// whole stack, plus the serial quiesce barrier.  See docs/ARCHITECTURE.md
-// for the format and the quiesce contract.
+// whole stack, plus the quiesce barrier.  See docs/ARCHITECTURE.md for the
+// format and the quiesce contract.
 #include <stdexcept>
 #include <string>
 
@@ -56,7 +56,7 @@ std::vector<std::uint8_t> VBundleCloud::save_checkpoint() {
   sim_.ckpt_save(w);
   fleet_->ckpt_save(w);
 
-  // FaultPlan: only the serial decide() path's Rng is mutable state.
+  // FaultPlan: its Rng is the only mutable state.
   sim::FaultPlan* fp = pastry_->fault_plan();
   w.boolean(fp != nullptr);
   if (fp != nullptr) {

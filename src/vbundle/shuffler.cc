@@ -200,7 +200,7 @@ void VBundleAgent::try_shed() {
   if (obs::TraceRecorder* tr = node_->network().trace()) {
     trace = tr->new_trace_id();
     q->trace = trace;
-    tr->begin(node_->network().simulator_for(node_->host()).now(), trace,
+    tr->begin(node_->network().simulator().now(), trace,
               static_cast<int>(node_->handle().host), "vbundle.shuffle",
               "vbundle", "vm", static_cast<double>(vm));
   }
@@ -216,7 +216,7 @@ void VBundleAgent::arm_query_timeout(std::uint64_t seq, std::uint64_t trace) {
   QueryTimer qt;
   qt.seq = seq;
   qt.trace = trace;
-  qt.timer = node_->network().simulator_for(node_->host()).schedule_in(
+  qt.timer = node_->network().simulator().schedule_in(
       cfg_->query_timeout_s,
       [this, seq, trace]() { query_timeout_fired(seq, trace); });
   query_timers_.push_back(qt);
@@ -233,7 +233,7 @@ void VBundleAgent::query_timeout_fired(std::uint64_t seq, std::uint64_t trace) {
   query_in_flight_ = false;
   ++stats_.query_timeouts;
   if (obs::TraceRecorder* tr = node_->network().trace()) {
-    tr->end(node_->network().simulator_for(node_->host()).now(), trace,
+    tr->end(node_->network().simulator().now(), trace,
             static_cast<int>(node_->handle().host), "vbundle.shuffle",
             "vbundle", "timeout", 1.0);
   }
@@ -241,7 +241,7 @@ void VBundleAgent::query_timeout_fired(std::uint64_t seq, std::uint64_t trace) {
 }
 
 sim::EventId VBundleAgent::arm_lease(host::VmId vm) {
-  return node_->network().simulator_for(node_->host()).schedule_in(
+  return node_->network().simulator().schedule_in(
       cfg_->accept_hold_lease_s, [this, vm]() { lease_expired(vm); });
 }
 
@@ -300,11 +300,11 @@ bool VBundleAgent::on_anycast(scribe::ScribeNode& self,
     // We already hold for this VM from an earlier accept whose reply never
     // reached the shedder; re-accept reusing the hold (no double-charge)
     // and re-arm the lease.
-    node_->network().simulator_for(node_->host()).cancel(it->second.lease);
+    node_->network().simulator().cancel(it->second.lease);
     it->second.lease = arm_lease(q->vm);
     ++stats_.queries_accepted;
     if (obs::TraceRecorder* tr = node_->network().trace()) {
-      tr->instant(node_->network().simulator_for(node_->host()).now(), q->trace,
+      tr->instant(node_->network().simulator().now(), q->trace,
                   static_cast<int>(node_->handle().host), "shuffle.hold",
                   "vbundle", "vm", static_cast<double>(q->vm), "reused", 1.0);
     }
@@ -321,7 +321,7 @@ bool VBundleAgent::on_anycast(scribe::ScribeNode& self,
   pending_accepts_.emplace(q->vm, pending);
   ++stats_.queries_accepted;
   if (obs::TraceRecorder* tr = node_->network().trace()) {
-    tr->instant(node_->network().simulator_for(node_->host()).now(), q->trace,
+    tr->instant(node_->network().simulator().now(), q->trace,
                 static_cast<int>(node_->handle().host), "shuffle.hold",
                 "vbundle", "vm", static_cast<double>(q->vm));
   }
@@ -349,7 +349,7 @@ void VBundleAgent::on_anycast_accepted(scribe::ScribeNode& self,
     VBundleAgent* dst = directory_->at(static_cast<std::size_t>(acceptor.host));
     dst->release_accepted(q->vm);
     if (obs::TraceRecorder* tr = node_->network().trace()) {
-      tr->instant(node_->network().simulator_for(node_->host()).now(), q->trace,
+      tr->instant(node_->network().simulator().now(), q->trace,
                   static_cast<int>(node_->handle().host), "shuffle.stale",
                   "vbundle", "vm", static_cast<double>(q->vm));
     }
@@ -370,7 +370,7 @@ void VBundleAgent::on_anycast_accepted(scribe::ScribeNode& self,
   ++sheds_this_round_;
   std::uint64_t trace = q->trace;
   if (obs::TraceRecorder* tr = node_->network().trace()) {
-    tr->instant(node_->network().simulator_for(node_->host()).now(), trace,
+    tr->instant(node_->network().simulator().now(), trace,
                 static_cast<int>(node_->handle().host), "shuffle.migrate",
                 "vbundle", "vm", static_cast<double>(q->vm), "dst_host",
                 static_cast<double>(dst_host));
@@ -389,7 +389,7 @@ void VBundleAgent::shuffle_migration_done(const ShuffleRecord& rec) {
   pending_out_demand_ -= rec.moved_demand;
   pending_out_cpu_ -= rec.moved_cpu;
   if (obs::TraceRecorder* tr = node_->network().trace()) {
-    tr->end(node_->network().simulator_for(node_->host()).now(), rec.trace,
+    tr->end(node_->network().simulator().now(), rec.trace,
             static_cast<int>(node_->handle().host), "vbundle.shuffle",
             "vbundle", "migrated", 1.0, "dst_host",
             static_cast<double>(rec.dst_host));
@@ -412,7 +412,7 @@ void VBundleAgent::on_anycast_failed(scribe::ScribeNode& self,
   query_in_flight_ = false;
   ++stats_.anycast_failures;
   if (obs::TraceRecorder* tr = node_->network().trace()) {
-    tr->end(node_->network().simulator_for(node_->host()).now(), q->trace,
+    tr->end(node_->network().simulator().now(), q->trace,
             static_cast<int>(node_->handle().host), "vbundle.shuffle",
             "vbundle", "failed", 1.0);
   }
@@ -427,7 +427,7 @@ void VBundleAgent::on_migration_arrived(host::VmId vm) {
   if (auto it = pending_accepts_.find(vm); it != pending_accepts_.end()) {
     // Undo exactly what the accept charged (the VM's live demand may have
     // drifted while in flight); the hold itself was consumed by migrate().
-    node_->network().simulator_for(node_->host()).cancel(it->second.lease);
+    node_->network().simulator().cancel(it->second.lease);
     pending_in_demand_ -= it->second.demand_mbps;
     pending_in_cpu_ -= it->second.cpu_demand;
     pending_accepts_.erase(it);
@@ -445,7 +445,7 @@ void VBundleAgent::on_migration_arrived(host::VmId vm) {
 void VBundleAgent::release_accepted(host::VmId vm) {
   auto it = pending_accepts_.find(vm);
   if (it == pending_accepts_.end()) return;
-  node_->network().simulator_for(node_->host()).cancel(it->second.lease);
+  node_->network().simulator().cancel(it->second.lease);
   fleet_->release_hold_all(node_->host(), it->second.spec);
   pending_in_demand_ -= it->second.demand_mbps;
   pending_in_cpu_ -= it->second.cpu_demand;

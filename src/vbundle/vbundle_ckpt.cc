@@ -86,7 +86,7 @@ void VBundleAgent::ckpt_save(ckpt::Writer& w) const {
         std::to_string(pending_boots_.size()) +
         " boot placement(s) in flight; boot callbacks are not serializable");
   }
-  sim::Simulator& sim = node_->network().simulator_for(node_->host());
+  sim::Simulator& sim = node_->network().simulator();
   w.begin_section("agent");
   w.u8(static_cast<std::uint8_t>(role_));
   put_opt_value(w, last_capacity_global_);
@@ -130,7 +130,7 @@ void VBundleAgent::ckpt_save(ckpt::Writer& w) const {
 }
 
 void VBundleAgent::ckpt_restore(ckpt::Reader& r) {
-  sim::Simulator& sim = node_->network().simulator_for(node_->host());
+  sim::Simulator& sim = node_->network().simulator();
   r.enter_section("agent");
   role_ = static_cast<LoadRole>(r.u8());
   last_capacity_global_ = get_opt_value(r);

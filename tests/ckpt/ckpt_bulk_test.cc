@@ -1,17 +1,14 @@
 // Checkpoint/restore of a bulk-bootstrapped fleet (see
 // src/pastry/bulk_bootstrap.h): an image saved at a quiesce barrier restores
-// into a freshly bulk-booted world and resumes bit-identically — on the
-// serial engine and on the 4-shard parallel engine at 1 and 4 worker
-// threads.  Mirrors the routed-token workload of ckpt_parallel_test.cc; the
-// only structural difference is that the fleet comes up via bootstrap_bulk
-// instead of per-node oracle insertion, which is exactly the surface this
-// fixture locks down.
+// into a freshly bulk-booted world and resumes bit-identically, and a save
+// attempted while transport copies are still in flight is refused.  Every
+// host routes tokens to random keys and the receivers ack them over the
+// reliable channel, so the wire is busy most of the run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "ckpt/format.h"
@@ -20,12 +17,11 @@
 #include "net/topology.h"
 #include "pastry/bulk_bootstrap.h"
 #include "pastry/pastry_network.h"
-#include "sim/parallel_runner.h"
+#include "sim/simulator.h"
 
 namespace vb {
 namespace {
 
-constexpr int kShards = 4;
 constexpr double kSaveFrom = 8.0;  // quiesce starts here; periodics run to 12
 constexpr double kPeriodicUntil = 12.0;
 constexpr double kEnd = 15.0;
@@ -80,30 +76,20 @@ class TokenApp : public pastry::PastryApp {
   std::uint64_t acks_in = 0;
 };
 
-/// Deterministic reconstruction with a bulk-booted fleet.  shards == 0 runs
-/// the plain serial Simulator; shards > 0 runs the ParallelRunner with the
-/// given worker-thread count.
+/// Deterministic reconstruction with a bulk-booted fleet.
 struct World {
-  World(std::uint64_t seed, int shards, int threads) : topo(make_tcfg()) {
-    if (shards > 0) {
-      shard_map = topo.rack_aligned_shards(shards);
-      lookahead = 0.5 * topo.min_cross_shard_latency_s(shard_map);
-      runner.emplace(shards, lookahead, threads);
-      net.emplace(&runner->shard(0), &topo);
-    } else {
-      serial_sim.emplace();
-      net.emplace(&*serial_sim, &topo);
-    }
+  explicit World(std::uint64_t seed) : topo(make_tcfg()), net(&sim, &topo) {
     Rng ids(seed);
-    for (int h = 0; h < topo.num_hosts(); ++h) node_ids.push_back(ids.next_u128());
-    net->bootstrap_bulk(pastry::fleet_one_per_host(node_ids));
-    if (shards > 0) net->enable_sharding(&*runner, shard_map);
     for (int h = 0; h < topo.num_hosts(); ++h) {
-      pastry::PastryNode* node = &net->at(node_ids[static_cast<std::size_t>(h)]);
+      node_ids.push_back(ids.next_u128());
+    }
+    net.bootstrap_bulk(pastry::fleet_one_per_host(node_ids));
+    for (int h = 0; h < topo.num_hosts(); ++h) {
+      pastry::PastryNode* node = &net.at(node_ids[static_cast<std::size_t>(h)]);
       apps.push_back(std::make_unique<TokenApp>(seed ^ (0xB17ULL + h)));
       node->add_app(apps.back().get());
       TokenApp* app = apps.back().get();
-      net->simulator_for(h).schedule_periodic(
+      sim.schedule_periodic(
           0.05 + 0.001 * h, 0.25,
           [app, node] {
             node->route(app->rng.next_u128(),
@@ -122,37 +108,19 @@ struct World {
     return tcfg;
   }
 
-  void run_until(double t) {
-    if (runner) {
-      runner->run_until(t);
-    } else {
-      serial_sim->run_until(t);
-    }
-  }
-
-  std::uint64_t events_executed() const {
-    return runner ? runner->events_executed() : serial_sim->events_executed();
-  }
-
-  /// Same deterministic stepping in every run shape (see ckpt_parallel).
-  double quiesce(double from) {
-    double t = from;
-    const double step = std::max(lookahead, 0.05);
+  /// Runs in fixed 50 ms steps from `from` until the wire is empty, so every
+  /// run that quiesces from the same time takes the same steps.
+  void quiesce(double from) {
     int guard = 0;
-    while (net->wire_in_flight() > 0) {
-      t = from + (++guard) * step;
-      run_until(t);
+    while (net.wire_in_flight() > 0) {
+      sim.run_until(from + (++guard) * 0.05);
       if (guard > 5000) throw std::logic_error("quiesce: wire never drained");
     }
-    return t;
   }
 
   net::Topology topo;
-  std::vector<int> shard_map;
-  double lookahead = 0.0;
-  std::optional<sim::ParallelRunner> runner;
-  std::optional<sim::Simulator> serial_sim;
-  std::optional<pastry::PastryNetwork> net;
+  sim::Simulator sim;
+  pastry::PastryNetwork net;
   std::vector<U128> node_ids;
   std::vector<std::unique_ptr<TokenApp>> apps;
 };
@@ -160,12 +128,8 @@ struct World {
 std::vector<std::uint8_t> save(const World& w) {
   ckpt::Writer wr;
   wr.begin_section("bulk_ckpt_test");
-  if (w.runner) {
-    w.runner->ckpt_save(wr);
-  } else {
-    w.serial_sim->ckpt_save(wr);
-  }
-  w.net->ckpt_save(wr);
+  w.sim.ckpt_save(wr);
+  w.net.ckpt_save(wr);
   wr.begin_section("apps");
   wr.u32(static_cast<std::uint32_t>(w.apps.size()));
   for (const auto& app : w.apps) {
@@ -185,12 +149,8 @@ std::vector<std::uint8_t> save(const World& w) {
 void restore(World& w, const std::vector<std::uint8_t>& image) {
   ckpt::Reader r(image);
   r.enter_section("bulk_ckpt_test");
-  if (w.runner) {
-    w.runner->ckpt_restore(r);
-  } else {
-    w.serial_sim->ckpt_restore(r);
-  }
-  w.net->ckpt_restore(r);
+  w.sim.ckpt_restore(r);
+  w.net.ckpt_restore(r);
   r.enter_section("apps");
   std::uint32_t n = r.u32();
   if (n != w.apps.size()) throw ckpt::CkptError("apps: count mismatch");
@@ -219,9 +179,9 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
-Fingerprint fingerprint(World& w) {
+Fingerprint fingerprint(const World& w) {
   Fingerprint fp;
-  fp.events_executed = w.events_executed();
+  fp.events_executed = w.sim.events_executed();
   fp.token_hash = 1469598103934665603ULL;
   fp.traffic_hash = 1469598103934665603ULL;
   for (int h = 0; h < w.topo.num_hosts(); ++h) {
@@ -229,63 +189,67 @@ Fingerprint fingerprint(World& w) {
     fp.acks += app.acks_in;
     for (std::uint64_t t : app.registry) fp.token_hash = fnv1a(fp.token_hash, t);
     const pastry::TrafficCounters& c =
-        w.net->counters(w.node_ids[static_cast<std::size_t>(h)]);
+        w.net.counters(w.node_ids[static_cast<std::size_t>(h)]);
     fp.traffic_hash = fnv1a(fp.traffic_hash, c.total_msgs());
     fp.traffic_hash = fnv1a(fp.traffic_hash, c.total_bytes());
   }
-  fp.total_msgs = w.net->total_msgs();
+  fp.total_msgs = w.net.total_msgs();
   return fp;
 }
 
-Fingerprint run_uninterrupted(std::uint64_t seed, int shards, int threads) {
-  World w(seed, shards, threads);
-  w.run_until(kSaveFrom);
+Fingerprint run_uninterrupted(std::uint64_t seed) {
+  World w(seed);
+  w.sim.run_until(kSaveFrom);
   w.quiesce(kSaveFrom);
-  w.run_until(kEnd);
+  w.sim.run_until(kEnd);
   return fingerprint(w);
 }
 
-Fingerprint run_with_save(std::uint64_t seed, int shards, int threads,
+Fingerprint run_with_save(std::uint64_t seed,
                           std::vector<std::uint8_t>& image_out) {
-  World w(seed, shards, threads);
-  w.run_until(kSaveFrom);
+  World w(seed);
+  w.sim.run_until(kSaveFrom);
   w.quiesce(kSaveFrom);
   image_out = save(w);
-  w.run_until(kEnd);
+  w.sim.run_until(kEnd);
   return fingerprint(w);
 }
 
-Fingerprint run_restored(std::uint64_t seed, int shards, int threads,
+Fingerprint run_restored(std::uint64_t seed,
                          const std::vector<std::uint8_t>& image) {
-  World w(seed, shards, threads);
+  World w(seed);
   restore(w, image);
-  w.run_until(kEnd);
+  w.sim.run_until(kEnd);
   return fingerprint(w);
 }
 
 TEST(CkptBulk, SerialResumeBitIdentical) {
   register_codecs();
-  Fingerprint base = run_uninterrupted(19, 0, 1);
+  Fingerprint base = run_uninterrupted(19);
   std::vector<std::uint8_t> image;
-  Fingerprint saved = run_with_save(19, 0, 1, image);
+  Fingerprint saved = run_with_save(19, image);
   EXPECT_TRUE(base == saved) << "save perturbed the serial run";
-  Fingerprint restored = run_restored(19, 0, 1, image);
+  Fingerprint restored = run_restored(19, image);
   EXPECT_TRUE(base == restored) << "serial restore diverged";
   EXPECT_GT(base.acks, 0u);
   EXPECT_GT(base.total_msgs, 0u);
 }
 
-TEST(CkptBulk, ShardedResumeBitIdenticalAcrossThreadCounts) {
+TEST(CkptBulk, SaveOffBarrierIsRefused) {
   register_codecs();
-  Fingerprint base = run_uninterrupted(19, kShards, 1);
-  std::vector<std::uint8_t> image;
-  Fingerprint saved = run_with_save(19, kShards, 4, image);
-  EXPECT_TRUE(base == saved) << "with-save@4 diverged from uninterrupted@1";
-  Fingerprint restored4 = run_restored(19, kShards, 4, image);
-  EXPECT_TRUE(base == restored4) << "restored@4 diverged";
-  Fingerprint restored1 = run_restored(19, kShards, 1, image);
-  EXPECT_TRUE(base == restored1) << "restored@1 diverged";
-  EXPECT_GT(base.acks, 0u);
+  World w(7);
+  // Step one event at a time until a transport copy is on the wire: the
+  // transport must refuse to serialize it rather than drop it.
+  std::uint64_t guard = 0;
+  while (w.net.wire_in_flight() == 0) {
+    ASSERT_TRUE(w.sim.step()) << "queue drained before any send";
+    ASSERT_LT(++guard, 100'000u) << "no send within 100k events";
+  }
+  EXPECT_THROW(save(w), ckpt::CkptError);
+  // After a proper quiesce, the same call succeeds.
+  w.quiesce(w.sim.now());
+  EXPECT_EQ(w.net.wire_in_flight(), 0);
+  EXPECT_FALSE(save(w).empty());
 }
 
 }  // namespace

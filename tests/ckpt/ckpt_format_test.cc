@@ -73,22 +73,27 @@ TEST(CkptFormat, EveryCorruptedPositionIsCaught) {
   }
 }
 
-TEST(CkptFormat, FutureVersionIsRefused) {
+TEST(CkptFormat, SkewedVersionIsRefused) {
   // Patch the version field (offset 4, little-endian) and fix up the CRC so
   // only the version check can object: the guard must hold even for an
-  // otherwise pristine image from a newer writer.
-  std::vector<std::uint8_t> image = sample_image();
-  image[4] = static_cast<std::uint8_t>(kVersion + 1);
-  std::uint32_t crc = crc32(image.data(), image.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    image[image.size() - 4 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
-  }
-  try {
-    Reader r(image);
-    FAIL() << "future version accepted";
-  } catch (const CkptError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  // otherwise pristine image from a newer writer, or from an older one whose
+  // sections this build would misparse.
+  for (std::uint32_t version : {kVersion + 1, kVersion - 1}) {
+    std::vector<std::uint8_t> image = sample_image();
+    image[4] = static_cast<std::uint8_t>(version);
+    std::uint32_t crc = crc32(image.data(), image.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      image[image.size() - 4 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    try {
+      Reader r(image);
+      ADD_FAILURE() << "version " << version << " accepted";
+    } catch (const CkptError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -12,16 +12,10 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/rng.h"
 #include "hostmodel/host.h"
-#include "net/topology.h"
 #include "obs/trace.h"
-#include "pastry/pastry_network.h"
-#include "sim/fault_plan.h"
-#include "sim/parallel_runner.h"
 #include "vbundle/cloud.h"
 #include "workloads/scenario.h"
 
@@ -174,225 +168,6 @@ TEST(Determinism, DifferentSeedsActuallyDiverge) {
   RunFingerprint a = run_scenario(1);
   RunFingerprint b = run_scenario(2);
   EXPECT_FALSE(same_fingerprint(a, b));
-}
-
-// ---------------------------------------------------------------------------
-// Serial vs parallel: the sharded pastry transport.
-//
-// "Serial" is the same sharded engine at threads=1; the parallel contract
-// (docs/ARCHITECTURE.md) makes every other thread count bit-identical to it
-// by construction, and these scenarios lock that in end-to-end through the
-// real transport: routed migrations, placements (which node holds which
-// migrated token), per-node traffic counters, reliable-delivery timers, a
-// mid-run node kill, and — in the FaultPlan variants — keyed loss,
-// duplication, jitter, and a rack partition.
-// ---------------------------------------------------------------------------
-
-/// A VM-migration workload on the overlay: each host periodically "migrates"
-/// a VM token by routing it at a random key; the closest node "places" the
-/// token in its registry and acks the source (every fourth ack reliable, to
-/// keep retransmit timers and ack dedup in the parallel picture).
-struct TokenPayload : pastry::Payload {
-  explicit TokenPayload(std::uint64_t t) : token(t) {}
-  std::size_t wire_bytes() const override { return 48; }
-  std::uint64_t token;
-};
-
-class MigrationApp : public pastry::PastryApp {
- public:
-  explicit MigrationApp(std::uint64_t seed) : rng(seed) {}
-
-  void deliver(pastry::PastryNode& self, const pastry::RouteMsg& msg) override {
-    auto tok = std::dynamic_pointer_cast<const TokenPayload>(msg.payload);
-    if (!tok) return;
-    registry.push_back(tok->token);  // the token now "runs" on this node
-    ++migrations_in;
-    auto ack = std::make_shared<TokenPayload>(tok->token ^ 0xACC0ACC0ULL);
-    if (tok->token % 4 == 0) {
-      self.send_reliable(msg.source, ack);
-    } else {
-      self.send_direct(msg.source, ack);
-    }
-  }
-
-  void receive_direct(pastry::PastryNode& self, const pastry::NodeHandle& from,
-                      const pastry::PayloadPtr& payload,
-                      pastry::MsgCategory category) override {
-    (void)self;
-    (void)from;
-    (void)category;
-    if (std::dynamic_pointer_cast<const TokenPayload>(payload)) ++acks_in;
-  }
-
-  Rng rng;  ///< per-host stream: seeded from (seed, host), thread-invariant
-  std::vector<std::uint64_t> registry;
-  std::uint64_t migrations_in = 0;
-  std::uint64_t acks_in = 0;
-};
-
-struct ParallelPastryFingerprint {
-  std::uint64_t events_executed = 0;
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t events_cancelled = 0;
-  std::uint64_t cross_shard_posts = 0;
-  std::uint64_t migrations = 0;      // tokens placed, summed over nodes
-  std::uint64_t acks = 0;
-  std::uint64_t placement_hash = 0;  // per-node registries, in node order
-  std::uint64_t traffic_hash = 0;    // per-node msg/byte counters
-  std::uint64_t total_msgs = 0;
-  std::uint64_t fault_dropped = 0;
-  std::uint64_t fault_dups = 0;
-
-  bool operator==(const ParallelPastryFingerprint&) const = default;
-};
-
-ParallelPastryFingerprint run_parallel_pastry(
-    std::uint64_t seed, int threads, bool with_faults,
-    obs::TraceRecorder* trace = nullptr) {
-  net::TopologyConfig tcfg;
-  tcfg.num_pods = 2;
-  tcfg.racks_per_pod = 4;
-  tcfg.hosts_per_rack = 4;  // 32 hosts, 8 racks
-  net::Topology topo(tcfg);
-
-  constexpr int kShards = 4;
-  std::vector<int> shard_map = topo.rack_aligned_shards(kShards);
-  // Strict margin below the minimum cross-shard latency: the engine only
-  // requires <=, but the margin keeps posts clear of the window boundary
-  // even under floating-point rounding of the grid.
-  double lookahead = 0.5 * topo.min_cross_shard_latency_s(shard_map);
-  sim::ParallelRunner runner(kShards, lookahead, threads);
-
-  pastry::PastryNetwork net(&runner.shard(0), &topo);
-  net.set_trace(trace);
-  net.enable_sharding(&runner, shard_map);
-
-  sim::FaultPlan plan(seed);
-  if (with_faults) {
-    plan.uniform_loss(0.05, 2.0, 16.0)
-        .uniform_duplication(0.03, 2.0, 16.0)
-        .jitter(0.005, 2.0, 16.0)
-        .partition_rack(0, 6.0, 8.0);
-    net.set_fault_plan(&plan);
-  }
-
-  // Deterministic setup (single-threaded): ids from the master stream, one
-  // node + app per host, apps seeded per host.
-  Rng ids(seed);
-  std::vector<U128> node_ids;
-  std::vector<std::unique_ptr<MigrationApp>> apps;
-  for (int h = 0; h < topo.num_hosts(); ++h) {
-    U128 id = ids.next_u128();
-    node_ids.push_back(id);
-    pastry::PastryNode& n = net.add_node_oracle(id, h);
-    apps.push_back(std::make_unique<MigrationApp>(
-        sim::ParallelRunner::shard_seed(seed ^ 0xA99ULL, h)));
-    n.add_app(apps.back().get());
-  }
-
-  // Each host migrates one token every 200 ms until t=12, on its own shard.
-  for (int h = 0; h < topo.num_hosts(); ++h) {
-    MigrationApp* app = apps[static_cast<std::size_t>(h)].get();
-    pastry::PastryNode* node = &net.at(node_ids[static_cast<std::size_t>(h)]);
-    net.simulator_for(h).schedule_periodic(
-        0.05 + 0.001 * h, 0.2,
-        [app, node] {
-          node->route(app->rng.next_u128(),
-                      std::make_shared<TokenPayload>(app->rng.next_u64()));
-          return true;
-        },
-        12.0);
-  }
-
-  runner.run_until(6.5);
-  // Membership changes are legal between run_until calls: kill one node and
-  // let in-flight traffic bounce (cross-shard failure handling included).
-  net.kill_node(node_ids[5]);
-  runner.run_until(20.0);
-
-  ParallelPastryFingerprint fp;
-  fp.events_executed = runner.events_executed();
-  fp.events_scheduled = runner.events_scheduled();
-  fp.events_cancelled = runner.events_cancelled();
-  fp.cross_shard_posts = runner.cross_shard_posts();
-  fp.placement_hash = 1469598103934665603ULL;
-  fp.traffic_hash = 1469598103934665603ULL;
-  for (int h = 0; h < topo.num_hosts(); ++h) {
-    const MigrationApp& app = *apps[static_cast<std::size_t>(h)];
-    fp.migrations += app.migrations_in;
-    fp.acks += app.acks_in;
-    fp.placement_hash = fnv1a(fp.placement_hash, app.migrations_in);
-    for (std::uint64_t t : app.registry) {
-      fp.placement_hash = fnv1a(fp.placement_hash, t);
-    }
-    const pastry::TrafficCounters& c =
-        net.counters(node_ids[static_cast<std::size_t>(h)]);
-    fp.traffic_hash = fnv1a(fp.traffic_hash, c.total_msgs());
-    fp.traffic_hash = fnv1a(fp.traffic_hash, c.total_bytes());
-  }
-  fp.total_msgs = net.total_msgs();
-  fp.fault_dropped = net.total_fault_dropped();
-  fp.fault_dups = net.total_fault_dups();
-  return fp;
-}
-
-TEST(Determinism, SerialVsParallelBitIdentical) {
-  ParallelPastryFingerprint serial = run_parallel_pastry(7, 1, false);
-  for (int threads : {2, 4, 8}) {
-    ParallelPastryFingerprint fp = run_parallel_pastry(7, threads, false);
-    EXPECT_EQ(fp.events_executed, serial.events_executed) << threads;
-    EXPECT_EQ(fp.events_scheduled, serial.events_scheduled) << threads;
-    EXPECT_EQ(fp.events_cancelled, serial.events_cancelled) << threads;
-    EXPECT_EQ(fp.migrations, serial.migrations) << threads;
-    EXPECT_EQ(fp.acks, serial.acks) << threads;
-    EXPECT_EQ(fp.placement_hash, serial.placement_hash) << threads;
-    EXPECT_EQ(fp.traffic_hash, serial.traffic_hash) << threads;
-    EXPECT_TRUE(fp == serial) << "divergence at threads=" << threads;
-  }
-  // The scenario must actually exercise the parallel machinery.
-  EXPECT_GT(serial.cross_shard_posts, 0u);
-  EXPECT_GT(serial.migrations, 0u);
-  EXPECT_GT(serial.acks, 0u);
-  EXPECT_GT(serial.events_cancelled, 0u)
-      << "reliable-delivery timers should arm and cancel";
-}
-
-TEST(Determinism, SerialVsParallelBitIdenticalUnderFaultPlan) {
-  ParallelPastryFingerprint serial = run_parallel_pastry(11, 1, true);
-  for (int threads : {2, 4, 8}) {
-    ParallelPastryFingerprint fp = run_parallel_pastry(11, threads, true);
-    EXPECT_EQ(fp.fault_dropped, serial.fault_dropped) << threads;
-    EXPECT_EQ(fp.fault_dups, serial.fault_dups) << threads;
-    EXPECT_EQ(fp.placement_hash, serial.placement_hash) << threads;
-    EXPECT_TRUE(fp == serial) << "chaos divergence at threads=" << threads;
-  }
-  EXPECT_GT(serial.fault_dropped, 0u);
-  EXPECT_GT(serial.fault_dups, 0u);
-}
-
-TEST(Determinism, ParallelTracingIsPassiveAndMergesDeterministically) {
-  ParallelPastryFingerprint untraced = run_parallel_pastry(7, 4, true);
-  obs::TraceRecorder trace_a;
-  ParallelPastryFingerprint traced = run_parallel_pastry(7, 4, true, &trace_a);
-  EXPECT_TRUE(untraced == traced)
-      << "per-shard trace buffers must not perturb the run";
-  EXPECT_GT(trace_a.total_recorded(), 0u);
-
-  // The merged timeline is a pure function of the run, not of the thread
-  // count: same events, same canonical order.
-  obs::TraceRecorder trace_b;
-  run_parallel_pastry(7, 1, true, &trace_b);
-  std::vector<obs::TraceEvent> a = trace_a.snapshot();
-  std::vector<obs::TraceEvent> b = trace_b.snapshot();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].ts_s),
-              std::bit_cast<std::uint64_t>(b[i].ts_s)) << i;
-    EXPECT_EQ(a[i].trace_id, b[i].trace_id) << i;
-    EXPECT_EQ(a[i].node, b[i].node) << i;
-    EXPECT_STREQ(a[i].name, b[i].name) << i;
-    if (HasFailure()) break;
-  }
 }
 
 }  // namespace

@@ -88,8 +88,7 @@ TEST(Cloud, SpilloverStaysPhysicallyClose) {
 TEST(Cloud, DistinctCustomersLandOnDistinctAnchors) {
   VBundleCloud cloud(small_cloud(1, 8, 4));
   std::set<int> anchors;
-  for (const std::string& name :
-       {"Accolade", "Beenox", "Crystal", "Deck13", "Epyx"}) {
+  for (const char* name : {"Accolade", "Beenox", "Crystal", "Deck13", "Epyx"}) {
     auto c = cloud.add_customer(name);
     auto r = cloud.boot_vm(c, host::VmSpec{100, 200});
     ASSERT_TRUE(r.ok);

@@ -18,10 +18,10 @@ import tempfile
 
 GOOD = {
     "bench": "perf_core",
-    "schema_version": 2,
+    "schema_version": 3,
     "smoke": True,
     "timestamp_unix": 1,
-    "config": {"threads": 2, "shards": 8, "compiler": "gcc", "build_type": "Release"},
+    "config": {"compiler": "gcc", "build_type": "Release"},
     "results": [
         {"name": "event_churn", "servers": 64, "events": 100, "seconds": 0.5},
         {"name": "ckpt_roundtrip", "servers": 64, "vms": 640,
@@ -94,11 +94,11 @@ def main(argv):
                 "cannot load")
     expect_fail("non-object-top", run(write("toplist", [1, 2, 3])),
                 "top level")
-    expect_fail("schema-mismatch", run(write("v1", mutated(schema_version=1))),
+    expect_fail("schema-mismatch", run(write("v2", mutated(schema_version=2))),
                 "schema_version")
     expect_fail("missing-config-key",
-                run(write("noconf", mutated(config={"threads": 2}))),
-                "config.")
+                run(write("noconf", mutated(config={"compiler": "gcc"}))),
+                "config.build_type")
     expect_fail("non-object-config",
                 run(write("confnum", mutated(config=7))), "config")
     expect_fail("results-not-array",

@@ -321,7 +321,6 @@ int run_arena(const Flags& flags) {
   arena::ArenaConfig acfg;
   acfg.embedder =
       arena::embedder_kind_from(flags.get_string("embedder", "vbundle"));
-  acfg.threads = flags.get_int("threads", 1);
   // The shuffling service is part of the v-Bundle offering; baselines run
   // without it unless explicitly asked.
   acfg.enable_rebalancing = flags.get_bool(
@@ -467,8 +466,6 @@ int help() {
       "arena:\n"
       "  --embedder KIND                vbundle | greedy_tree | competitive |\n"
       "                                 first_fit (default vbundle)\n"
-      "  --threads N                    accepted but has no effect: the\n"
-      "                                 arena runs on one thread (default 1)\n"
       "  --requests N                   stop offering after N arrivals\n"
       "                                 (default 1000)\n"
       "  --duration S                   campaign horizon (default 86400)\n"
@@ -512,7 +509,7 @@ int help() {
       "  vbundle_sim rebalance --duration 4800 --restore-from vbundle_sim.ckpt\n"
       "  vbundle_sim sipp --duration 500\n"
       "  vbundle_sim arena --embedder competitive --requests 5000 \\\n"
-      "      --arrival-rate 0.5 --duration 12000 --threads 4\n"
+      "      --arrival-rate 0.5 --duration 12000\n"
       "  vbundle_sim arena --requests 2000 --checkpoint-every 3000 \\\n"
       "      --metrics arena.metrics.json\n");
   return 0;
