@@ -330,6 +330,8 @@ void PastryNetwork::export_metrics(obs::MetricsRegistry& reg) const {
   std::array<std::uint64_t, TrafficCounters::kCategories> bytes{};
   std::uint64_t dropped = 0;
   std::uint64_t dups = 0;
+  std::size_t dedup_entries = 0;
+  std::size_t pending = 0;
   obs::Distribution& per_node = reg.distribution("pastry.msgs.per_node");
   per_node.reset();  // idempotent collection: rebuild, never accumulate
   for (const auto& [id, e] : nodes_) {
@@ -339,6 +341,8 @@ void PastryNetwork::export_metrics(obs::MetricsRegistry& reg) const {
     }
     dropped += e.counters.fault_dropped_msgs;
     dups += e.counters.fault_dup_msgs;
+    dedup_entries += e.node->reliable_dedup_entries();
+    pending += e.node->pending_reliable_count();
     if (e.alive) {
       per_node.observe(static_cast<double>(e.counters.total_msgs()));
     }
@@ -358,6 +362,9 @@ void PastryNetwork::export_metrics(obs::MetricsRegistry& reg) const {
   reg.counter("fault.dropped_msgs").set(dropped);
   reg.counter("fault.dup_msgs").set(dups);
   reg.gauge("pastry.nodes.alive").set(static_cast<double>(size()));
+  reg.gauge("pastry.reliable.dedup_entries")
+      .set(static_cast<double>(dedup_entries));
+  reg.gauge("pastry.reliable.pending").set(static_cast<double>(pending));
 }
 
 void PastryNetwork::stabilize_all() {

@@ -101,6 +101,12 @@ void PastryNode::retransmit_reliable(std::uint64_t seq) {
   network_->send_direct(handle_, p.dest, p.envelope, MsgCategory::kRetransmit);
 }
 
+std::size_t PastryNode::reliable_dedup_entries() const {
+  std::size_t n = 0;
+  for (const auto& [sender, seqs] : seen_reliable_) n += seqs.size();
+  return n;
+}
+
 void PastryNode::fail_pending_reliable_to(const NodeHandle& dead) {
   for (auto it = pending_reliable_.begin(); it != pending_reliable_.end();) {
     if (it->second.dest.id == dead.id) {

@@ -95,6 +95,10 @@ class PastryNode {
   /// Reliable sends still awaiting an ack (test/diagnostic aid).
   std::size_t pending_reliable_count() const { return pending_reliable_.size(); }
 
+  /// Sequence numbers remembered for receiver-side dedup, summed over
+  /// senders (state-size gauge).
+  std::size_t reliable_dedup_entries() const;
+
   /// Chooses the next hop for `key`: self if we are the closest known node.
   NodeHandle next_hop(const U128& key) const;
 

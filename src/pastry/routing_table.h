@@ -5,8 +5,13 @@
 // candidates fit one cell, Pastry keeps the one closer under the proximity
 // metric — this locality choice is what later gives Scribe anycast its
 // "reaches a member near the sender" property (§III.A.2).
+//
+// Only about ceil(log16 N) of the 32 rows ever hold an entry, so rows are
+// allocated on demand: the table grows to the deepest row ever populated and
+// an empty cell is a RouteEntry whose handle is invalid (host < 0).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -24,14 +29,14 @@ struct RouteEntry {
 class RoutingTable {
  public:
   /// `owner` is the local node id; entries are indexed relative to it.
-  explicit RoutingTable(const U128& owner);
+  explicit RoutingTable(const U128& owner) : owner_(owner) {}
 
   /// Considers `candidate` for the table.  Replaces an existing entry if the
   /// candidate is strictly closer by proximity, or equally close with a
   /// numerically smaller id — a total order, so each cell converges to the
   /// unique minimum over all candidates offered regardless of order (the
-  /// bulk-join synthesizer depends on this).  Self and exact duplicates are
-  /// ignored.  Returns true if the table changed.
+  /// bulk-join synthesizer depends on this).  Self, invalid handles and
+  /// exact duplicates are ignored.  Returns true if the table changed.
   bool consider(const NodeHandle& candidate, int proximity);
 
   /// Removes a (presumed failed) node wherever it appears.
@@ -43,29 +48,36 @@ class RoutingTable {
   std::optional<NodeHandle> lookup(int row, int col) const;
 
   /// Allocation-free variant of lookup for the per-hop fast path: a pointer
-  /// into the table (valid until the next mutation), or nullptr if the cell
-  /// is empty or out of range.
+  /// into the table, or nullptr if the cell is empty or out of range.  Valid
+  /// only until the next mutation: consider() may reallocate the rows.
   const NodeHandle* lookup_ptr(int row, int col) const {
-    if (row < 0 || row >= kIdDigits || col < 0 || col >= kIdBase) return nullptr;
-    const auto& cell = cells_[static_cast<std::size_t>(cell_index(row, col))];
-    return cell.has_value() ? &cell->node : nullptr;
+    const RouteEntry* e = entry_ptr(row, col);
+    return e != nullptr ? &e->node : nullptr;
   }
 
   /// Full cell contents including the remembered proximity, or nullptr if
   /// empty/out of range (equivalence property tests compare synthesized vs
-  /// converged tables entry-for-entry, proximity included).
+  /// converged tables entry-for-entry, proximity included).  Same validity
+  /// as lookup_ptr.
   const RouteEntry* entry_ptr(int row, int col) const {
-    if (row < 0 || row >= kIdDigits || col < 0 || col >= kIdBase) return nullptr;
-    const auto& cell = cells_[static_cast<std::size_t>(cell_index(row, col))];
-    return cell.has_value() ? &*cell : nullptr;
+    if (row < 0 || row >= static_cast<int>(rows_.size()) || col < 0 ||
+        col >= kIdBase) {
+      return nullptr;
+    }
+    const RouteEntry& e = rows_[static_cast<std::size_t>(row)]
+                               [static_cast<std::size_t>(col)];
+    return e.node.valid() ? &e : nullptr;
   }
 
-  /// Visits every populated entry without materializing a vector (rule-3
-  /// fallback scans and departure announcements run through here).
+  /// Visits every populated entry in row-major order without materializing
+  /// a vector (rule-3 fallback scans and departure announcements run
+  /// through here).  `fn` must not mutate the table.
   template <class Fn>
   void for_each_entry(Fn&& fn) const {
-    for (const auto& cell : cells_) {
-      if (cell.has_value()) fn(cell->node);
+    for (const Row& row : rows_) {
+      for (const RouteEntry& e : row) {
+        if (e.node.valid()) fn(e.node);
+      }
     }
   }
 
@@ -82,40 +94,22 @@ class RoutingTable {
   const U128& owner() const { return owner_; }
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  void ckpt_save(ckpt::Writer& w) const {
-    w.u32(static_cast<std::uint32_t>(cells_.size()));
-    for (const auto& cell : cells_) {
-      w.boolean(cell.has_value());
-      if (!cell.has_value()) continue;
-      w.u128(cell->node.id);
-      w.i64(cell->node.host);
-      w.i64(cell->proximity);
-    }
-  }
-  void ckpt_restore(ckpt::Reader& r) {
-    if (r.u32() != cells_.size()) {
-      throw ckpt::CkptError("routing table: cell count mismatch");
-    }
-    populated_ = 0;
-    for (auto& cell : cells_) {
-      if (!r.boolean()) {
-        cell.reset();
-        continue;
-      }
-      RouteEntry e;
-      e.node.id = r.u128();
-      e.node.host = static_cast<net::HostId>(r.i64());
-      e.proximity = static_cast<int>(r.i64());
-      cell = e;
-      ++populated_;
-    }
-  }
+  /// Writes the populated count, then (id, host, proximity) per entry in
+  /// row-major order: 4 + 32 * size() bytes.
+  void ckpt_save(ckpt::Writer& w) const;
+  /// Rebuilds the table, placing each entry in the cell its id selects.
+  /// Refuses a count above 512, an entry equal to the owner or with an
+  /// invalid host, and two entries in one cell.
+  void ckpt_restore(ckpt::Reader& r);
 
  private:
-  int cell_index(int row, int col) const { return row * kIdBase + col; }
+  using Row = std::array<RouteEntry, kIdBase>;
+
+  /// The cell `id` belongs in, growing the rows down to its row.
+  RouteEntry& cell_for(const U128& id);
 
   U128 owner_;
-  std::vector<std::optional<RouteEntry>> cells_;
+  std::vector<Row> rows_;
   std::size_t populated_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "pastry/pastry_network.h"
 
 namespace vb::pastry {
@@ -112,6 +113,32 @@ TEST(Counters, PerNodeVectorsCoverLiveNodes) {
   EXPECT_EQ(hx.net.per_node_msgs().size(), 8u);
   hx.net.kill_node(hx.net.nodes()[0]->id());
   EXPECT_EQ(hx.net.per_node_msgs().size(), 7u);
+}
+
+TEST(Counters, ReliableStateGauges) {
+  // N reliable sends are N pending envelopes until acked, then N remembered
+  // sequence numbers at the receivers.
+  Harness hx;
+  auto nodes = hx.net.nodes();
+  constexpr int kSends = 5;
+  for (int i = 0; i < kSends; ++i) {
+    PastryNode* dest = nodes[static_cast<std::size_t>(1 + i % 3)];
+    nodes[0]->send_reliable(dest->handle(), std::make_shared<Blob>(10),
+                            MsgCategory::kApp);
+  }
+  obs::MetricsRegistry reg;
+  auto gauge = [&reg](const char* name) {
+    const obs::Gauge* g = reg.find_gauge(name);
+    return g != nullptr ? g->value() : -1.0;
+  };
+  hx.net.export_metrics(reg);
+  EXPECT_EQ(gauge("pastry.reliable.pending"), kSends);
+  EXPECT_EQ(gauge("pastry.reliable.dedup_entries"), 0);
+  hx.sim.run_to_completion();
+  hx.net.export_metrics(reg);
+  EXPECT_EQ(hx.sink.direct, kSends);
+  EXPECT_EQ(gauge("pastry.reliable.pending"), 0);
+  EXPECT_EQ(gauge("pastry.reliable.dedup_entries"), kSends);
 }
 
 TEST(Counters, UnknownNodeThrows) {

@@ -1,9 +1,9 @@
 // Scale smoke for the bulk-join bootstrap (src/pastry/bulk_bootstrap.h):
 // bring up a 100,000-server overlay in one bootstrap_bulk call, assert it
-// fits a wall-clock budget, and spot-check routes against the global-closest
-// oracle.  Registered as the Release-only `bootstrap_scale_smoke` ctest
-// (label: bench) — debug allocators make the wall-clock budget meaningless
-// in other build types.
+// fits a wall-clock budget and a peak-RSS budget, and spot-check routes
+// against the global-closest oracle.  Registered as the Release-only
+// `bootstrap_scale_smoke` ctest (label: bench) — debug allocators make both
+// budgets meaningless in other build types.
 //
 // Usage: bootstrap_scale_smoke [--servers=N] [--budget-s=S] [--routes=R]
 #include <algorithm>
@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "common/rng.h"
 #include "common/u128.h"
@@ -49,12 +51,20 @@ U128 walk(pastry::PastryNetwork& net, const U128& start, const U128& key) {
   std::exit(1);
 }
 
+/// Peak resident set size of this process so far, in MiB.
+double peak_rss_mib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const int servers = static_cast<int>(flag(argc, argv, "--servers", 100'000));
   const double budget_s =
       static_cast<double>(flag(argc, argv, "--budget-s", 10));
+  constexpr double kBudgetRssMib = 1024;
   const int route_checks = static_cast<int>(flag(argc, argv, "--routes", 256));
   if (servers <= 0 || budget_s <= 0 || route_checks < 0) {
     std::fprintf(stderr, "bootstrap_scale_smoke: --servers and --budget-s "
@@ -103,6 +113,14 @@ int main(int argc, char** argv) {
   if (boot_s > budget_s) {
     std::fprintf(stderr, "bootstrap_scale_smoke: FAIL: bulk boot took "
                  "%.3f s > %.1f s budget\n", boot_s, budget_s);
+    return 1;
+  }
+  const double rss_mib = peak_rss_mib();
+  std::printf("bootstrap_scale_smoke: peak RSS %.1f MiB (budget %.0f MiB)\n",
+              rss_mib, kBudgetRssMib);
+  if (rss_mib > kBudgetRssMib) {
+    std::fprintf(stderr, "bootstrap_scale_smoke: FAIL: peak RSS %.1f MiB > "
+                 "%.0f MiB budget\n", rss_mib, kBudgetRssMib);
     return 1;
   }
 
