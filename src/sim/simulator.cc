@@ -9,6 +9,7 @@ Simulator::PeriodicHandle Simulator::schedule_periodic(SimTime phase,
                                                        SimTime period,
                                                        PeriodicFn action,
                                                        SimTime until) {
+  if (phase < 0) throw std::invalid_argument("Simulator: negative phase");
   if (period <= 0) throw std::invalid_argument("Simulator: period <= 0");
   SimTime first = now_ + phase;
   if (first >= until) return PeriodicHandle{};

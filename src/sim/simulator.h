@@ -71,10 +71,11 @@ class Simulator {
   /// Returns true if it was still pending.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  /// Schedules `action` every `period` seconds, starting at now()+`phase`,
-  /// until `until` (exclusive) or until the action returns false or the
-  /// returned handle is cancelled.  The action is stored once; re-arming
-  /// schedules a 16-byte tick closure, never a copy of the action.
+  /// Schedules `action` every `period` seconds, starting at now()+`phase`
+  /// (phase >= 0, period > 0), until `until` (exclusive) or until the action
+  /// returns false or the returned handle is cancelled.  The action is
+  /// stored once; re-arming schedules a 16-byte tick closure, never a copy
+  /// of the action.
   PeriodicHandle schedule_periodic(
       SimTime phase, SimTime period, PeriodicFn action,
       SimTime until = std::numeric_limits<SimTime>::infinity());

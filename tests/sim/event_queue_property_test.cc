@@ -1,6 +1,6 @@
 // Property tests for EventQueue: pop order, FIFO ties, counter monotonicity,
 // and cancellation — all under randomized (but seeded, reproducible)
-// workloads.  These lock in the ordering contract the slab/4-ary-heap
+// workloads.  These lock in the ordering contract the slab/binary-heap
 // implementation must honor so the simulator stays bit-for-bit
 // deterministic (see tests/sim/determinism_test.cc for the end-to-end
 // version of that claim).
@@ -175,25 +175,55 @@ TEST(EventQueueProperty, CancellingEveryCurrentMinimumStillDrainsInOrder) {
   EXPECT_EQ(fired.size(), 50u);
 }
 
-TEST(EventQueueProperty, PopAndRunTopProduceIdenticalOrder) {
-  // pop() (hand the callback out) and run_top() (execute in place) must
-  // agree on ordering for the same workload.
-  auto build = [](EventQueue& q, std::vector<int>& order) {
-    Rng rng(31337);
-    for (int i = 0; i < 3000; ++i) {
-      double t = static_cast<double>(rng.next_u64() % 16);
-      q.push(t, [&order, i] { order.push_back(i); });
+// Records the (time, seq) key of every event as it runs, in run_top order.
+struct KeyLog {
+  EventQueue& q;
+  std::vector<std::pair<SimTime, std::uint64_t>> fired;
+
+  // Pushes an event at `t` that logs its key and then calls `then`.
+  template <class F>
+  void push(SimTime t, F then) {
+    const std::uint64_t seq = q.total_pushed();
+    q.push(t, [this, t, seq, then] {
+      fired.emplace_back(t, seq);
+      then();
+    });
+  }
+
+  // A self-rescheduling ticker: fires every 0.1 ms until t >= 1 s.
+  void chain(SimTime t) {
+    push(t, [this, t] {
+      if (t < 1.0) chain(t + 1e-4);
+    });
+  }
+};
+
+TEST(EventQueueProperty, BurstAfterQuietGapDrainsInKeyOrder) {
+  // A dense first second, a quiet gap of ~300 s, then a burst of 100 equal
+  // times whose follow-ups land after a lone event at 300.5 + l.  The
+  // follow-ups (300.5 + f, f > l) must not run before that lone event,
+  // however the queue's internal layout reacts to the density change.
+  constexpr double kBurst = 300.5;
+  for (double l : {1e-3, 2e-3, 5e-3, 10e-3}) {
+    for (double f : {2e-3, 5e-3, 10e-3, 20e-3}) {
+      if (f <= l) continue;
+      SCOPED_TRACE(::testing::Message() << "l=" << l << " f=" << f);
+      EventQueue q;
+      KeyLog log{q, {}};
+      for (int c = 0; c < 8; ++c) log.chain(c * 10e-6);
+      for (int i = 0; i < 100; ++i) {
+        log.push(kBurst, [&log, f] { log.push(kBurst + f, [] {}); });
+      }
+      log.push(kBurst + l, [] {});
+      while (!q.empty()) q.run_top();
+      ASSERT_EQ(log.fired.size(), q.total_pushed());
+      std::size_t inversions = 0;
+      for (std::size_t i = 1; i < log.fired.size(); ++i) {
+        if (!(log.fired[i - 1] < log.fired[i])) ++inversions;
+      }
+      EXPECT_EQ(inversions, 0u) << "run_top order left (time, seq) order";
     }
-  };
-  EventQueue a;
-  EventQueue b;
-  std::vector<int> order_a;
-  std::vector<int> order_b;
-  build(a, order_a);
-  build(b, order_b);
-  while (!a.empty()) a.pop().action();
-  while (!b.empty()) b.run_top();
-  EXPECT_EQ(order_a, order_b);
+  }
 }
 
 TEST(EventQueueProperty, CallbackMayCancelOtherPendingEvents) {

@@ -13,7 +13,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(3.0, [&] { order.push_back(3); });
   q.push(1.0, [&] { order.push_back(1); });
   q.push(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().action();
+  while (!q.empty()) q.run_top();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -23,14 +23,14 @@ TEST(EventQueue, EqualTimesAreFifo) {
   for (int i = 0; i < 10; ++i) {
     q.push(5.0, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().action();
+  while (!q.empty()) q.run_top();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(EventQueue, ThrowsOnEmptyAccess) {
   EventQueue q;
   EXPECT_THROW(q.next_time(), std::logic_error);
-  EXPECT_THROW(q.pop(), std::logic_error);
+  EXPECT_THROW(q.run_top(), std::logic_error);
 }
 
 TEST(Simulator, ClockAdvancesToEventTime) {
@@ -118,6 +118,16 @@ TEST(Simulator, PeriodicRejectsNonPositivePeriod) {
   Simulator s;
   EXPECT_THROW(s.schedule_periodic(0.0, 0.0, [] { return true; }),
                std::invalid_argument);
+}
+
+TEST(Simulator, PeriodicRejectsNegativePhase) {
+  // A negative phase would put the first tick before now(), moving the
+  // clock backwards; it is rejected like a negative schedule_in delay.
+  Simulator s;
+  s.run_until(10.0);
+  EXPECT_THROW(s.schedule_periodic(-5.0, 1.0, [] { return true; }),
+               std::invalid_argument);
+  EXPECT_TRUE(s.idle());
 }
 
 TEST(Simulator, StepExecutesExactlyOne) {
