@@ -46,7 +46,7 @@ inline constexpr std::uint32_t kMagic = 0x4B434256;  // "VBCK" little-endian
 /// Bumped on every layout change (docs/ARCHITECTURE.md lists what each
 /// version changed); readers refuse any other version rather than misparse
 /// it.
-inline constexpr std::uint32_t kVersion = 3;
+inline constexpr std::uint32_t kVersion = 4;
 
 class Writer {
  public:

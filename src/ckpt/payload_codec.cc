@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "pastry/pastry_internal.h"
@@ -195,6 +196,7 @@ void register_ckpt_payload_codecs() {
         PayloadCodec::encode_ptr(w, m.inner);
         ckpt::put_category(w, m.inner_category);
         w.u64(m.seq);
+        w.u64(m.floor);
         ckpt::put_handle(w, m.sender);
         w.u64(m.trace);
       },
@@ -203,6 +205,12 @@ void register_ckpt_payload_codecs() {
         m->inner = PayloadCodec::decode_ptr(r);
         m->inner_category = ckpt::get_category(r);
         m->seq = r.u64();
+        m->floor = r.u64();
+        if (m->floor > m->seq) {
+          throw ckpt::CkptError("pastry.rel: floor " +
+                                std::to_string(m->floor) + " above seq " +
+                                std::to_string(m->seq));
+        }
         m->sender = ckpt::get_handle(r);
         m->trace = r.u64();
         return m;

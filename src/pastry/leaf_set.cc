@@ -32,13 +32,17 @@ bool LeafSet::consider(const NodeHandle& candidate) {
     return clockwise ? cw_dist(owner_, n.id) : cw_dist(n.id, owner_);
   };
 
+  const auto cap = static_cast<std::size_t>(half_);
   auto pos = std::find_if(side.begin(), side.end(),
                           [&](const NodeHandle& n) { return dist < dist_of(n); });
-  if (pos == side.end() && side.size() >= static_cast<std::size_t>(half_)) {
+  if (pos == side.end() && side.size() >= cap) {
     return false;  // farther than all current members of a full side
   }
-  side.insert(pos, candidate);
-  if (side.size() > static_cast<std::size_t>(half_)) side.pop_back();
+  // Evict before inserting so a full side never outgrows its capacity.
+  const auto at = pos - side.begin();
+  if (side.capacity() < cap) side.reserve(cap);
+  if (side.size() >= cap) side.pop_back();
+  side.insert(side.begin() + at, candidate);
   return true;
 }
 

@@ -44,8 +44,11 @@ bool NeighborSet::insert_ranked(std::vector<NodeHandle>& side, std::size_t cap,
     return r < mk || (r == mk && candidate.id < m.id);
   });
   if (pos == side.end() && side.size() >= cap) return false;
-  side.insert(pos, candidate);
-  if (side.size() > cap) side.pop_back();
+  // Evict before inserting so a full side never outgrows its capacity.
+  const auto at = pos - side.begin();
+  if (side.capacity() < cap) side.reserve(cap);
+  if (side.size() >= cap) side.pop_back();
+  side.insert(side.begin() + at, candidate);
   return true;
 }
 

@@ -88,17 +88,22 @@ struct RingScanReply : Payload {
   std::string name() const override { return "pastry.scan_rep"; }
 };
 
-/// Direct: wrapper giving a payload at-least-once delivery with
-/// receive-side dedup.  The receiver acks every copy (acks can be lost
-/// too), processes the inner payload only for an unseen (sender, seq), and
+/// Direct: wrapper giving a payload retransmission with receive-side
+/// dedup.  The receiver acks every copy (acks can be lost too), processes
+/// the inner payload only for a (sender, seq) its DedupWindows accepts, and
 /// unwraps it into the normal direct-message path.
 struct ReliableEnvelope : Payload {
   PayloadPtr inner;
   MsgCategory inner_category = MsgCategory::kApp;
   std::uint64_t seq = 0;        ///< per-sender sequence number
+  /// The sender's oldest unacked seq to this receiver when the envelope was
+  /// first sent, or `seq` if there was none; every copy carries the same.
+  std::uint64_t floor = 0;
   NodeHandle sender;            ///< dedup key (envelopes may be forwarded
                                 ///  through transport duplicates)
   std::uint64_t trace = 0;      ///< span shared by every copy (retransmits)
+  /// The nominal 16-byte header models (seq, floor); the sender id is the
+  /// transport source, so it costs nothing extra.
   std::size_t wire_bytes() const override {
     return 16 + (inner ? inner->wire_bytes() : 0);
   }

@@ -331,6 +331,7 @@ void PastryNetwork::export_metrics(obs::MetricsRegistry& reg) const {
   std::uint64_t dropped = 0;
   std::uint64_t dups = 0;
   std::size_t dedup_entries = 0;
+  std::size_t dedup_senders = 0;
   std::size_t pending = 0;
   obs::Distribution& per_node = reg.distribution("pastry.msgs.per_node");
   per_node.reset();  // idempotent collection: rebuild, never accumulate
@@ -341,7 +342,8 @@ void PastryNetwork::export_metrics(obs::MetricsRegistry& reg) const {
     }
     dropped += e.counters.fault_dropped_msgs;
     dups += e.counters.fault_dup_msgs;
-    dedup_entries += e.node->reliable_dedup_entries();
+    dedup_entries += e.node->reliable_dedup().entries();
+    dedup_senders += e.node->reliable_dedup().senders();
     pending += e.node->pending_reliable_count();
     if (e.alive) {
       per_node.observe(static_cast<double>(e.counters.total_msgs()));
@@ -364,6 +366,8 @@ void PastryNetwork::export_metrics(obs::MetricsRegistry& reg) const {
   reg.gauge("pastry.nodes.alive").set(static_cast<double>(size()));
   reg.gauge("pastry.reliable.dedup_entries")
       .set(static_cast<double>(dedup_entries));
+  reg.gauge("pastry.reliable.dedup_senders")
+      .set(static_cast<double>(dedup_senders));
   reg.gauge("pastry.reliable.pending").set(static_cast<double>(pending));
 }
 

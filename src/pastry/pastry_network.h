@@ -130,10 +130,11 @@ class PastryNetwork {
   /// Pushes transport roll-ups into `reg` as `pastry.*` / `fault.*` series:
   /// per-category message/byte counters, totals, fault drop/dup counts, a
   /// per-node total-messages distribution, and the reliable channel's state
-  /// sizes (`pastry.reliable.dedup_entries`, `pastry.reliable.pending`,
-  /// summed over every node, dead ones included: their state stays
-  /// resident).  Idempotent: counters are overwritten and distributions
-  /// rebuilt on every call.
+  /// sizes (`pastry.reliable.dedup_entries`: seqs listed above their dedup
+  /// window's floor; `pastry.reliable.dedup_senders`: dedup windows;
+  /// `pastry.reliable.pending`: unacked sends), summed over every node,
+  /// dead ones included: their state stays resident.  Idempotent: counters
+  /// are overwritten and distributions rebuilt on every call.
   void export_metrics(obs::MetricsRegistry& reg) const;
 
   const TrafficCounters& counters(const U128& id) const;

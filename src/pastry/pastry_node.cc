@@ -1,7 +1,6 @@
 #include "pastry/pastry_node.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "ckpt/payload_codec.h"
 #include "obs/trace.h"
@@ -54,6 +53,13 @@ void PastryNode::send_reliable(const NodeHandle& dest, PayloadPtr payload,
   env->inner = std::move(payload);
   env->inner_category = category;
   env->seq = next_reliable_seq_++;
+  env->floor = env->seq;
+  for (const auto& [s, p] : pending_reliable_) {
+    if (p.dest.id == dest.id) {
+      env->floor = s;  // our oldest send to `dest` still awaiting its ack
+      break;
+    }
+  }
   env->sender = handle_;
   if (obs::TraceRecorder* tr = network_->trace()) {
     // One span covers every copy of this envelope: the original send, all
@@ -99,12 +105,6 @@ void PastryNode::retransmit_reliable(std::uint64_t seq) {
                 static_cast<double>(p.attempts));
   }
   network_->send_direct(handle_, p.dest, p.envelope, MsgCategory::kRetransmit);
-}
-
-std::size_t PastryNode::reliable_dedup_entries() const {
-  std::size_t n = 0;
-  for (const auto& [sender, seqs] : seen_reliable_) n += seqs.size();
-  return n;
 }
 
 void PastryNode::fail_pending_reliable_to(const NodeHandle& dead) {
@@ -365,13 +365,8 @@ void PastryNode::handle_direct_msg(const NodeHandle& from,
     auto ack = std::make_shared<internal::AckMsg>();
     ack->seq = env->seq;
     send_direct(from, std::move(ack), MsgCategory::kAck);
-    auto& seen = seen_reliable_[env->sender.id];
-    if (!seen.insert(env->seq).second) return;  // duplicate: drop after ack
-    if (seen.size() > 4096) {
-      // Deterministic prune: forget the oldest half.  Sequence numbers far
-      // below the live window can no longer arrive as anything but stale
-      // duplicates of long-acked sends.
-      seen.erase(seen.begin(), std::next(seen.begin(), 2048));
+    if (!seen_reliable_.accept(env->sender.id, env->seq, env->floor)) {
+      return;  // duplicate, or a late copy of an abandoned send
     }
     handle_direct_msg(env->sender, env->inner, env->inner_category);
     return;
@@ -515,12 +510,7 @@ void PastryNode::ckpt_save(ckpt::Writer& w) const {
   leafs_.ckpt_save(w);
   neighbors_.ckpt_save(w);
   w.u64(next_reliable_seq_);
-  w.u32(static_cast<std::uint32_t>(seen_reliable_.size()));
-  for (const auto& [sender, seqs] : seen_reliable_) {
-    w.u128(sender);
-    w.u32(static_cast<std::uint32_t>(seqs.size()));
-    for (std::uint64_t s : seqs) w.u64(s);
-  }
+  seen_reliable_.ckpt_save(w);
   sim::Simulator& sim = network_->simulator();
   w.u32(static_cast<std::uint32_t>(pending_reliable_.size()));
   for (const auto& [seq, p] : pending_reliable_) {
@@ -570,14 +560,7 @@ void PastryNode::ckpt_restore(ckpt::Reader& r) {
   leafs_.ckpt_restore(r);
   neighbors_.ckpt_restore(r);
   next_reliable_seq_ = r.u64();
-  seen_reliable_.clear();
-  std::uint32_t senders = r.u32();
-  for (std::uint32_t i = 0; i < senders; ++i) {
-    U128 sender = r.u128();
-    auto& seqs = seen_reliable_[sender];
-    std::uint32_t n = r.u32();
-    for (std::uint32_t k = 0; k < n; ++k) seqs.insert(r.u64());
-  }
+  seen_reliable_.ckpt_restore(r);
   sim::Simulator& sim = network_->simulator();
   for (auto& [seq, p] : pending_reliable_) sim.cancel(p.timer);
   pending_reliable_.clear();

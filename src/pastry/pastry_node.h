@@ -10,9 +10,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
+#include "pastry/dedup_windows.h"
 #include "pastry/leaf_set.h"
 #include "pastry/message.h"
 #include "pastry/neighbor_set.h"
@@ -75,16 +75,19 @@ class PastryNode {
   void send_direct(const NodeHandle& dest, PayloadPtr payload,
                    MsgCategory category = MsgCategory::kApp);
 
-  /// Sends `payload` directly to `dest` with at-least-once delivery:
-  /// the payload is wrapped in a ReliableEnvelope, acked by the receiver,
-  /// and retransmitted on timeout with bounded exponential backoff
-  /// (kReliableBaseRtoS doubling up to kReliableMaxRtoS, at most
-  /// kReliableMaxAttempts copies — enough to ride out a 5 s partition).
-  /// The receiver dedups on (sender, seq), so duplicates — retransmits
-  /// or fault-injected — are processed exactly once.  Retransmit copies
-  /// and acks are charged to their own TrafficCounters categories, so the
-  /// first copy's Fig.-15 accounting is unchanged.  Opt-in: plain
-  /// send_direct stays fire-and-forget.
+  /// Sends `payload` directly to `dest` so that it is processed there at
+  /// most once, and exactly once unless the send is abandoned: the payload
+  /// is wrapped in a ReliableEnvelope, acked by the receiver, and
+  /// retransmitted on timeout with bounded exponential backoff
+  /// (kReliableBaseRtoS doubling up to kReliableMaxRtoS) until
+  /// kReliableMaxAttempts copies have gone — enough to ride out a 5 s
+  /// partition.  The envelope carries its seq and a floor, our oldest
+  /// unacked seq to `dest` (or its own seq); the receiver's DedupWindows
+  /// drops duplicates, retransmitted or fault-injected, and late copies of
+  /// abandoned sends below a newer envelope's floor.  Retransmit copies and
+  /// acks are charged to their own TrafficCounters categories, so the first
+  /// copy's Fig.-15 accounting is unchanged.  Opt-in: plain send_direct
+  /// stays fire-and-forget.
   void send_reliable(const NodeHandle& dest, PayloadPtr payload,
                      MsgCategory category = MsgCategory::kApp);
 
@@ -95,9 +98,8 @@ class PastryNode {
   /// Reliable sends still awaiting an ack (test/diagnostic aid).
   std::size_t pending_reliable_count() const { return pending_reliable_.size(); }
 
-  /// Sequence numbers remembered for receiver-side dedup, summed over
-  /// senders (state-size gauge).
-  std::size_t reliable_dedup_entries() const;
+  /// Receiver-side dedup state, one window per sender (state-size gauges).
+  const DedupWindows& reliable_dedup() const { return seen_reliable_; }
 
   /// Chooses the next hop for `key`: self if we are the closest known node.
   NodeHandle next_hop(const U128& key) const;
@@ -155,7 +157,7 @@ class PastryNode {
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
   /// Serializes the three tables, the maintenance cursor, the reliable
-  /// channel (dedup sets plus every unacked envelope with its retransmit
+  /// channel (dedup windows plus every unacked envelope with its retransmit
   /// timer's fire time/seq), and the join-retry / ring-sweep state.
   /// Envelope payloads go through the ckpt::PayloadCodec registry.
   void ckpt_save(ckpt::Writer& w) const;
@@ -196,8 +198,7 @@ class PastryNode {
 
   std::uint64_t next_reliable_seq_ = 1;
   std::map<std::uint64_t, PendingReliable> pending_reliable_;
-  // Per-sender seen sequence numbers (ordered: pruned deterministically).
-  std::map<U128, std::set<std::uint64_t>> seen_reliable_;
+  DedupWindows seen_reliable_;
 
   // --- join retry + ring-presence sweep ---------------------------------
   // join_bootstrap_ stays valid (with join_timer_ armed) until the delivery

@@ -116,8 +116,12 @@ TEST(Counters, PerNodeVectorsCoverLiveNodes) {
 }
 
 TEST(Counters, ReliableStateGauges) {
-  // N reliable sends are N pending envelopes until acked, then N remembered
-  // sequence numbers at the receivers.
+  // N reliable sends are N pending envelopes until acked.  Then each
+  // receiver holds one dedup window for the sender, listing only the seqs
+  // that arrived above its floor: seqs 1-3 each reach a fresh window as its
+  // floor and advance it, while 4 and 5 carry floors 1 and 2 (their
+  // receivers' earlier seqs were still unacked when they left) and stay
+  // listed.
   Harness hx;
   auto nodes = hx.net.nodes();
   constexpr int kSends = 5;
@@ -134,11 +138,13 @@ TEST(Counters, ReliableStateGauges) {
   hx.net.export_metrics(reg);
   EXPECT_EQ(gauge("pastry.reliable.pending"), kSends);
   EXPECT_EQ(gauge("pastry.reliable.dedup_entries"), 0);
+  EXPECT_EQ(gauge("pastry.reliable.dedup_senders"), 0);
   hx.sim.run_to_completion();
   hx.net.export_metrics(reg);
   EXPECT_EQ(hx.sink.direct, kSends);
   EXPECT_EQ(gauge("pastry.reliable.pending"), 0);
-  EXPECT_EQ(gauge("pastry.reliable.dedup_entries"), kSends);
+  EXPECT_EQ(gauge("pastry.reliable.dedup_entries"), 2);
+  EXPECT_EQ(gauge("pastry.reliable.dedup_senders"), 3);
 }
 
 TEST(Counters, UnknownNodeThrows) {
