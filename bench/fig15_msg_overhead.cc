@@ -55,7 +55,7 @@ Overhead run(int pods, int racks, int hosts, std::uint64_t seed) {
 
   Overhead out;
   for (const pastry::PastryNode* n : cloud.pastry().nodes()) {
-    const pastry::TrafficCounters& tc = cloud.pastry().counters(n->id());
+    const pastry::TrafficCounters& tc = n->counters();
     out.msgs_per_round.push_back(static_cast<double>(tc.total_msgs()) / kRounds);
     out.kb_per_round.push_back(static_cast<double>(tc.total_bytes()) / 1024.0 /
                                kRounds);

@@ -87,7 +87,6 @@ class AggregationAgent : public pastry::PastryApp, public scribe::ScribeApp {
   void add_listener(AggregationListener* l) { listeners_.push_back(l); }
 
   PropagationMode mode() const { return mode_; }
-  void set_mode(PropagationMode m) { mode_ = m; }
 
   scribe::ScribeNode& scribe() { return *scribe_; }
 

@@ -27,10 +27,6 @@ void PayloadCodec::add(const std::string& name, EncodeFn enc, DecodeFn dec) {
   registry()[name] = Entry{enc, dec};
 }
 
-bool PayloadCodec::has(const std::string& name) {
-  return registry().count(name) != 0;
-}
-
 void PayloadCodec::encode(Writer& w, const pastry::Payload& p) {
   const std::string name = p.name();
   auto it = registry().find(name);
@@ -91,85 +87,6 @@ std::vector<NodeHandle> get_handles(Reader& r) {
 void register_ckpt_payload_codecs() {
   using namespace internal;
   PayloadCodec::add(
-      "pastry.join",
-      [](Writer& w, const Payload& p) {
-        ckpt::put_handle(w, ckpt::payload_cast<JoinRequest>(p).newcomer);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<JoinRequest>();
-        m->newcomer = ckpt::get_handle(r);
-        return m;
-      });
-  PayloadCodec::add(
-      "pastry.state",
-      [](Writer& w, const Payload& p) {
-        const auto& m = ckpt::payload_cast<StateTransfer>(p);
-        put_handles(w, m.nodes);
-        w.boolean(m.from_delivery_node);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<StateTransfer>();
-        m->nodes = get_handles(r);
-        m->from_delivery_node = r.boolean();
-        return m;
-      });
-  PayloadCodec::add(
-      "pastry.announce",
-      [](Writer& w, const Payload& p) {
-        ckpt::put_handle(w, ckpt::payload_cast<Announce>(p).who);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<Announce>();
-        m->who = ckpt::get_handle(r);
-        return m;
-      });
-  PayloadCodec::add(
-      "pastry.leafx",
-      [](Writer& w, const Payload& p) {
-        const auto& m = ckpt::payload_cast<LeafExchange>(p);
-        put_handles(w, m.leaves);
-        w.boolean(m.is_reply);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<LeafExchange>();
-        m->leaves = get_handles(r);
-        m->is_reply = r.boolean();
-        return m;
-      });
-  PayloadCodec::add(
-      "pastry.depart",
-      [](Writer& w, const Payload& p) {
-        ckpt::put_handle(w, ckpt::payload_cast<Depart>(p).who);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<Depart>();
-        m->who = ckpt::get_handle(r);
-        return m;
-      });
-  PayloadCodec::add(
-      "pastry.row_req",
-      [](Writer& w, const Payload& p) {
-        w.i64(ckpt::payload_cast<RowRequest>(p).row);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<RowRequest>();
-        m->row = static_cast<int>(r.i64());
-        return m;
-      });
-  PayloadCodec::add(
-      "pastry.row_rep",
-      [](Writer& w, const Payload& p) {
-        const auto& m = ckpt::payload_cast<RowReply>(p);
-        w.i64(m.row);
-        put_handles(w, m.entries);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<RowReply>();
-        m->row = static_cast<int>(r.i64());
-        m->entries = get_handles(r);
-        return m;
-      });
-  PayloadCodec::add(
       "pastry.scan",
       [](Writer& w, const Payload& p) {
         ckpt::put_handle(w, ckpt::payload_cast<RingScan>(p).origin);
@@ -213,16 +130,6 @@ void register_ckpt_payload_codecs() {
         }
         m->sender = ckpt::get_handle(r);
         m->trace = r.u64();
-        return m;
-      });
-  PayloadCodec::add(
-      "pastry.ack",
-      [](Writer& w, const Payload& p) {
-        w.u64(ckpt::payload_cast<AckMsg>(p).seq);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<AckMsg>();
-        m->seq = r.u64();
         return m;
       });
 }

@@ -1,9 +1,13 @@
 // Serialization registry for pastry::Payload subclasses (checkpoint only).
 //
 // Checkpoints must serialize payloads that are still held by component
-// state machines at the quiesce barrier — in practice the unacked
-// ReliableEnvelopes in PastryNode::pending_reliable_ (the wire itself is
-// empty at a barrier).  The registry maps Payload::name() strings (already
+// state machines at the quiesce barrier.  The wire itself is empty there,
+// so these are only the unacked ReliableEnvelopes in
+// PastryNode::pending_reliable_ and what they wrap: the payloads sent with
+// send_reliable (pastry.scan/scan_rep; scribe.leave, heartbeat,
+// heartbeat_nack, parent_reset, walk, anycast_ok, anycast_fail) and the
+// vbundle.lb_query a walk carries.  Only those have codecs; encoding any
+// other payload throws.  The registry maps Payload::name() strings (already
 // stable wire identifiers) to encode/decode functions.
 //
 // Registration is explicit per layer: a static-initializer pattern would be
@@ -29,7 +33,6 @@ class PayloadCodec {
 
   /// Registers (or re-registers — idempotent) a codec for one name() value.
   static void add(const std::string& name, EncodeFn enc, DecodeFn dec);
-  static bool has(const std::string& name);
 
   /// Writes `p.name()` then the payload fields.  Throws CkptError when the
   /// payload type has no registered codec.

@@ -220,10 +220,9 @@ void PastryNetwork::bootstrap_bulk(std::vector<BulkFleetEntry> fleet) {
   std::vector<PastryNode*> ring;
   ring.reserve(fleet.size());
   for (const BulkFleetEntry& f : fleet) {
-    Entry e;
-    e.node = std::make_unique<PastryNode>(NodeHandle{f.id, f.host}, this);
-    ring.push_back(e.node.get());
-    nodes_.emplace(f.id, std::move(e));
+    auto node = std::make_unique<PastryNode>(NodeHandle{f.id, f.host}, this);
+    ring.push_back(node.get());
+    nodes_.emplace(f.id, std::move(node));
   }
 
   fill_leaves(ring);

@@ -63,7 +63,6 @@ using PayloadPtr = std::shared_ptr<const Payload>;
 struct RouteMsg {
   U128 key;                 ///< destination key on the ring
   PayloadPtr payload;
-  NodeHandle source;        ///< originating node
   MsgCategory category = MsgCategory::kApp;
   int hops = 0;             ///< hops taken so far
   std::uint64_t trace_id = 0;  ///< span covering every hop of this route

@@ -8,30 +8,32 @@
 
 namespace vb::pastry {
 
-std::uint64_t TrafficCounters::total_msgs() const {
-  std::uint64_t t = 0;
-  for (auto v : msgs_sent) t += v;
-  return t;
+namespace {
+
+/// A direct message in flight: the payload and its accounting category.
+struct DirectMsg {
+  PayloadPtr payload;
+  MsgCategory category;
+};
+
+std::uint64_t trace_of(const RouteMsg& m) { return m.trace_id; }
+std::uint64_t trace_of(const DirectMsg& m) {
+  return m.payload ? m.payload->trace_id() : 0;
 }
 
-std::uint64_t TrafficCounters::total_bytes() const {
-  std::uint64_t t = 0;
-  for (auto v : bytes_sent) t += v;
-  return t;
+void arrive(PastryNode& dest, const PastryNode&, RouteMsg& m) {
+  dest.handle_route_msg(std::move(m));
+}
+void arrive(PastryNode& dest, const PastryNode& from, DirectMsg& m) {
+  dest.handle_direct_msg(from.handle(), m.payload, m.category);
 }
 
-void TrafficCounters::add(MsgCategory c, std::size_t bytes) {
-  auto i = static_cast<std::size_t>(c);
-  msgs_sent[i] += 1;
-  bytes_sent[i] += bytes;
-}
+/// What a bounce hands to the sender's handle_send_failure: a route is
+/// rerouted around the dead hop, a direct message is not resent.
+RouteMsg* undelivered(RouteMsg& m) { return &m; }
+RouteMsg* undelivered(DirectMsg&) { return nullptr; }
 
-void TrafficCounters::reset() {
-  msgs_sent.fill(0);
-  bytes_sent.fill(0);
-  fault_dropped_msgs = 0;
-  fault_dup_msgs = 0;
-}
+}  // namespace
 
 PastryNetwork::PastryNetwork(sim::Simulator* simulator, const net::Topology* topo)
     : sim_(simulator), topo_(topo) {
@@ -40,73 +42,71 @@ PastryNetwork::PastryNetwork(sim::Simulator* simulator, const net::Topology* top
   }
 }
 
-PastryNetwork::Entry& PastryNetwork::entry_of(const U128& id) {
+PastryNode& PastryNetwork::insert_node(const U128& id, net::HostId host) {
+  if (nodes_.contains(id)) {
+    throw std::invalid_argument("PastryNetwork: duplicate id " + id.short_hex());
+  }
+  auto node = std::make_unique<PastryNode>(NodeHandle{id, host}, this);
+  PastryNode& fresh = *node;
+  nodes_.emplace(id, std::move(node));
+  return fresh;
+}
+
+PastryNode& PastryNetwork::known_node(const U128& id) const {
   auto it = nodes_.find(id);
   if (it == nodes_.end()) {
     throw std::out_of_range("PastryNetwork: unknown node " + id.short_hex());
   }
-  return it->second;
+  return *it->second;
 }
 
 PastryNode& PastryNetwork::add_node_oracle(const U128& id, net::HostId host) {
-  if (nodes_.contains(id)) {
-    throw std::invalid_argument("PastryNetwork: duplicate id " + id.short_hex());
-  }
-  Entry e;
-  e.node = std::make_unique<PastryNode>(NodeHandle{id, host}, this);
-  PastryNode& fresh = *e.node;
-  nodes_.emplace(id, std::move(e));
+  PastryNode& fresh = insert_node(id, host);
   for (auto& [other_id, other] : nodes_) {
-    if (other_id == id || !other.alive) continue;
-    other.node->learn(fresh.handle());
-    fresh.learn(other.node->handle());
+    if (other_id == id || !other->alive_) continue;
+    other->learn(fresh.handle());
+    fresh.learn(other->handle());
   }
   return fresh;
 }
 
 PastryNode& PastryNetwork::add_node_join(const U128& id, net::HostId host,
                                          const NodeHandle& bootstrap) {
-  if (nodes_.contains(id)) {
-    throw std::invalid_argument("PastryNetwork: duplicate id " + id.short_hex());
-  }
-  Entry e;
-  e.node = std::make_unique<PastryNode>(NodeHandle{id, host}, this);
-  PastryNode& fresh = *e.node;
-  nodes_.emplace(id, std::move(e));
+  PastryNode& fresh = insert_node(id, host);
   if (bootstrap.valid()) fresh.begin_join(bootstrap);
   return fresh;
 }
 
-void PastryNetwork::kill_node(const U128& id) { entry_of(id).alive = false; }
+void PastryNetwork::kill_node(const U128& id) { known_node(id).alive_ = false; }
 
 void PastryNetwork::depart_node(const U128& id) {
-  Entry& e = entry_of(id);
-  if (!e.alive) throw std::logic_error("depart_node: already dead");
-  e.node->announce_departure();
+  PastryNode& n = known_node(id);
+  if (!n.alive_) throw std::logic_error("depart_node: already dead");
+  n.announce_departure();
   // Death is atomic with the announcement: the farewells are already on the
   // wire (scheduled above), and from this instant every message addressed to
   // the departed node — including ones that were racing the farewell —
   // bounces to its sender's failure handler.  The old "die one cross-pod
   // latency later" grace period let such racers be delivered to a node that
   // had already said goodbye, so a reply could originate from the dead.
-  e.alive = false;
+  n.alive_ = false;
 }
 
 bool PastryNetwork::is_alive(const U128& id) const {
   auto it = nodes_.find(id);
-  return it != nodes_.end() && it->second.alive;
+  return it != nodes_.end() && it->second->alive_;
 }
 
 PastryNode* PastryNetwork::find(const U128& id) {
   auto it = nodes_.find(id);
-  if (it == nodes_.end() || !it->second.alive) return nullptr;
-  return it->second.node.get();
+  if (it == nodes_.end() || !it->second->alive_) return nullptr;
+  return it->second.get();
 }
 
 const PastryNode* PastryNetwork::find(const U128& id) const {
   auto it = nodes_.find(id);
-  if (it == nodes_.end() || !it->second.alive) return nullptr;
-  return it->second.node.get();
+  if (it == nodes_.end() || !it->second->alive_) return nullptr;
+  return it->second.get();
 }
 
 PastryNode& PastryNetwork::at(const U128& id) {
@@ -120,8 +120,8 @@ PastryNode& PastryNetwork::at(const U128& id) {
 std::vector<PastryNode*> PastryNetwork::nodes() {
   std::vector<PastryNode*> out;
   out.reserve(nodes_.size());
-  for (auto& [id, e] : nodes_) {
-    if (e.alive) out.push_back(e.node.get());
+  for (auto& [id, n] : nodes_) {
+    if (n->alive_) out.push_back(n.get());
   }
   return out;
 }
@@ -129,193 +129,139 @@ std::vector<PastryNode*> PastryNetwork::nodes() {
 std::vector<const PastryNode*> PastryNetwork::nodes() const {
   std::vector<const PastryNode*> out;
   out.reserve(nodes_.size());
-  for (const auto& [id, e] : nodes_) {
-    if (e.alive) out.push_back(e.node.get());
+  for (const auto& [id, n] : nodes_) {
+    if (n->alive_) out.push_back(n.get());
   }
   return out;
 }
 
 std::size_t PastryNetwork::size() const {
-  std::size_t n = 0;
-  for (const auto& [id, e] : nodes_) n += e.alive ? 1 : 0;
-  return n;
+  std::size_t count = 0;
+  for (const auto& [id, n] : nodes_) count += n->alive_ ? 1 : 0;
+  return count;
 }
 
 NodeHandle PastryNetwork::global_closest(const U128& key) const {
   NodeHandle best = kNoHandle;
-  for (const auto& [id, e] : nodes_) {
-    if (!e.alive) continue;
+  for (const auto& [id, n] : nodes_) {
+    if (!n->alive_) continue;
     if (!best.valid() || closer_on_ring(key, id, best.id)) {
-      best = e.node->handle();
+      best = n->handle();
     }
   }
   if (!best.valid()) throw std::logic_error("PastryNetwork: empty network");
   return best;
 }
 
-sim::FaultDecision PastryNetwork::consult_fault_plan(const NodeHandle& from,
-                                                     const NodeHandle& to) {
-  if (fault_plan_ == nullptr) return {};
-  sim::FaultEndpoints ep;
-  ep.src_host = static_cast<int>(from.host);
-  ep.dst_host = static_cast<int>(to.host);
-  ep.src_rack = topo_->rack_of(from.host);
-  ep.dst_rack = topo_->rack_of(to.host);
-  ep.src_pod = topo_->pod_of(from.host);
-  ep.dst_pod = topo_->pod_of(to.host);
-  return fault_plan_->decide(sim_->now(), ep);
-}
-
-void PastryNetwork::send_route(const NodeHandle& from, const NodeHandle& to,
-                               RouteMsg msg) {
-  Entry& sender = entry_of(from.id);
+template <class Msg>
+void PastryNetwork::transmit(PastryNode& from, const NodeHandle& to, Msg msg) {
   // A dead node's pending timers can still fire; their sends go nowhere.
-  if (!sender.alive) return;
-  sender.counters.add(msg.category,
-                      msg.payload ? msg.payload->wire_bytes() : 16);
-  sim::FaultDecision fault = consult_fault_plan(from, to);
+  if (!from.alive_) return;
+  from.counters_.add(msg.category,
+                     msg.payload ? msg.payload->wire_bytes() : 16);
+  sim::FaultDecision fault;
+  if (fault_plan_ != nullptr) {
+    sim::FaultEndpoints ep;
+    ep.src_host = static_cast<int>(from.host());
+    ep.dst_host = static_cast<int>(to.host);
+    ep.src_rack = topo_->rack_of(from.host());
+    ep.dst_rack = topo_->rack_of(to.host);
+    ep.src_pod = topo_->pod_of(from.host());
+    ep.dst_pod = topo_->pod_of(to.host);
+    fault = fault_plan_->decide(sim_->now(), ep);
+  }
   if (fault.drop) {
-    sender.counters.fault_dropped_msgs += 1;
+    from.counters_.fault_dropped_msgs += 1;
     if (trace_ != nullptr) {
-      trace_->instant(sim_->now(), msg.trace_id, static_cast<int>(from.host),
+      trace_->instant(sim_->now(), trace_of(msg), static_cast<int>(from.host()),
                       fault.partitioned ? "fault.partition_drop" : "fault.drop",
                       "fault", "dst_host", static_cast<double>(to.host));
     }
     return;  // silent loss: no bounce, no failure callback — pure chaos
   }
-  double lat = topo_->latency_s(from.host, to.host);
-  U128 from_id = from.id;
-  NodeHandle to_handle = to;
-  // Capture the destination only as its handle (to_handle.id is the map
-  // key): a separate U128 copy would push the hop closure past EventFn's
-  // inline buffer — see the static_assert below.
-  auto deliver = [this, from_id, to_handle](RouteMsg m) mutable {
+  double lat = topo_->latency_s(from.host(), to.host);
+  auto it = nodes_.find(to.id);
+  PastryNode* dest = it == nodes_.end() ? nullptr : it->second.get();
+  PastryNode* src = &from;
+  auto deliver = [this, src, dest, to](Msg& m) {
     --wire_in_flight_;  // this copy is off the wire, whatever happens
-    auto it = nodes_.find(to_handle.id);
-    if (it == nodes_.end() || !it->second.alive) {
+    if (dest != nullptr && dest->alive_) {
+      arrive(*dest, *src, m);
+    } else if (src->alive_) {
       // Destination dead: hand the message back to the live sender's
-      // failure handler (purge + reroute).
-      auto sit = nodes_.find(from_id);
-      if (sit == nodes_.end() || !sit->second.alive) return;
-      sit->second.node->handle_send_failure(to_handle, &m);
-      return;
+      // failure handler (purge, plus a reroute for a route hop).
+      src->handle_send_failure(to, undelivered(m));
     }
-    it->second.node->handle_route_msg(std::move(m));
   };
   if (fault.duplicate) {
-    sender.counters.fault_dup_msgs += 1;
+    from.counters_.fault_dup_msgs += 1;
     if (trace_ != nullptr) {
-      trace_->instant(sim_->now(), msg.trace_id, static_cast<int>(from.host),
+      trace_->instant(sim_->now(), trace_of(msg), static_cast<int>(from.host()),
                       "fault.dup", "fault", "dst_host",
                       static_cast<double>(to.host));
     }
     ++wire_in_flight_;
     sim_->schedule_in(lat + fault.dup_extra_delay_s,
-                      [deliver, m = msg]() mutable { deliver(std::move(m)); });
+                      [deliver, m = msg]() mutable { deliver(m); });
   }
-  auto primary = [deliver, m = std::move(msg)]() mutable {
-    deliver(std::move(m));
-  };
-  // The route hop is the hottest closure in the simulator; if it outgrows
+  auto primary = [deliver, m = std::move(msg)]() mutable { deliver(m); };
+  // A route hop is the hottest closure in the simulator; if it outgrows
   // the EventFn inline buffer every hop heap-allocates (~15% throughput).
   static_assert(sizeof(primary) <= sim::EventFn::inline_capacity(),
-                "route-hop closure must stay inline; grow kDefaultInlineBytes");
+                "transport closure must stay inline; grow kDefaultInlineBytes");
   ++wire_in_flight_;
   sim_->schedule_in(lat + fault.extra_delay_s, std::move(primary));
 }
 
-void PastryNetwork::send_direct(const NodeHandle& from, const NodeHandle& to,
+void PastryNetwork::send_route(PastryNode& from, const NodeHandle& to,
+                               RouteMsg msg) {
+  transmit(from, to, std::move(msg));
+}
+
+void PastryNetwork::send_direct(PastryNode& from, const NodeHandle& to,
                                 PayloadPtr payload, MsgCategory category) {
-  Entry& sender = entry_of(from.id);
-  if (!sender.alive) return;
-  sender.counters.add(category, payload ? payload->wire_bytes() : 16);
-  sim::FaultDecision fault = consult_fault_plan(from, to);
-  if (fault.drop) {
-    sender.counters.fault_dropped_msgs += 1;
-    if (trace_ != nullptr) {
-      trace_->instant(sim_->now(), payload ? payload->trace_id() : 0,
-                      static_cast<int>(from.host),
-                      fault.partitioned ? "fault.partition_drop" : "fault.drop",
-                      "fault", "dst_host", static_cast<double>(to.host));
-    }
-    return;
-  }
-  double lat = topo_->latency_s(from.host, to.host);
-  std::uint64_t payload_trace =
-      (trace_ != nullptr && payload) ? payload->trace_id() : 0;
-  U128 from_id = from.id;
-  U128 to_id = to.id;
-  NodeHandle from_handle = from;
-  NodeHandle to_handle = to;
-  auto deliver = [this, from_id, to_id, from_handle, to_handle,
-                  p = std::move(payload), category]() {
-    --wire_in_flight_;  // this copy is off the wire, whatever happens
-    auto it = nodes_.find(to_id);
-    if (it == nodes_.end() || !it->second.alive) {
-      auto sit = nodes_.find(from_id);
-      if (sit == nodes_.end() || !sit->second.alive) return;
-      sit->second.node->handle_send_failure(to_handle, nullptr);
-      return;
-    }
-    it->second.node->handle_direct_msg(from_handle, p, category);
-  };
-  if (fault.duplicate) {
-    sender.counters.fault_dup_msgs += 1;
-    if (trace_ != nullptr) {
-      trace_->instant(sim_->now(), payload_trace, static_cast<int>(from.host),
-                      "fault.dup", "fault", "dst_host",
-                      static_cast<double>(to.host));
-    }
-    ++wire_in_flight_;
-    sim_->schedule_in(lat + fault.dup_extra_delay_s, deliver);
-  }
-  ++wire_in_flight_;
-  sim_->schedule_in(lat + fault.extra_delay_s, std::move(deliver));
+  transmit(from, to, DirectMsg{std::move(payload), category});
 }
 
 const TrafficCounters& PastryNetwork::counters(const U128& id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
-    throw std::out_of_range("PastryNetwork: unknown node " + id.short_hex());
-  }
-  return it->second.counters;
+  return known_node(id).counters_;
 }
 
 std::vector<std::uint64_t> PastryNetwork::per_node_msgs() const {
   std::vector<std::uint64_t> out;
-  for (const auto& [id, e] : nodes_) {
-    if (e.alive) out.push_back(e.counters.total_msgs());
+  for (const auto& [id, n] : nodes_) {
+    if (n->alive_) out.push_back(n->counters_.total_msgs());
   }
   return out;
 }
 
 std::vector<std::uint64_t> PastryNetwork::per_node_bytes() const {
   std::vector<std::uint64_t> out;
-  for (const auto& [id, e] : nodes_) {
-    if (e.alive) out.push_back(e.counters.total_bytes());
+  for (const auto& [id, n] : nodes_) {
+    if (n->alive_) out.push_back(n->counters_.total_bytes());
   }
   return out;
 }
 
 void PastryNetwork::reset_counters() {
-  for (auto& [id, e] : nodes_) e.counters.reset();
+  for (auto& [id, n] : nodes_) n->counters_.reset();
 }
 
 std::uint64_t PastryNetwork::total_msgs() const {
   std::uint64_t t = 0;
-  for (const auto& [id, e] : nodes_) t += e.counters.total_msgs();
+  for (const auto& [id, n] : nodes_) t += n->counters_.total_msgs();
   return t;
 }
 
 std::uint64_t PastryNetwork::total_fault_dropped() const {
   std::uint64_t t = 0;
-  for (const auto& [id, e] : nodes_) t += e.counters.fault_dropped_msgs;
+  for (const auto& [id, n] : nodes_) t += n->counters_.fault_dropped_msgs;
   return t;
 }
 
 std::uint64_t PastryNetwork::total_fault_dups() const {
   std::uint64_t t = 0;
-  for (const auto& [id, e] : nodes_) t += e.counters.fault_dup_msgs;
+  for (const auto& [id, n] : nodes_) t += n->counters_.fault_dup_msgs;
   return t;
 }
 
@@ -335,19 +281,18 @@ void PastryNetwork::export_metrics(obs::MetricsRegistry& reg) const {
   std::size_t pending = 0;
   obs::Distribution& per_node = reg.distribution("pastry.msgs.per_node");
   per_node.reset();  // idempotent collection: rebuild, never accumulate
-  for (const auto& [id, e] : nodes_) {
+  for (const auto& [id, n] : nodes_) {
+    const TrafficCounters& c = n->counters_;
     for (std::size_t i = 0; i < msgs.size(); ++i) {
-      msgs[i] += e.counters.msgs_sent[i];
-      bytes[i] += e.counters.bytes_sent[i];
+      msgs[i] += c.msgs_sent[i];
+      bytes[i] += c.bytes_sent[i];
     }
-    dropped += e.counters.fault_dropped_msgs;
-    dups += e.counters.fault_dup_msgs;
-    dedup_entries += e.node->reliable_dedup().entries();
-    dedup_senders += e.node->reliable_dedup().senders();
-    pending += e.node->pending_reliable_count();
-    if (e.alive) {
-      per_node.observe(static_cast<double>(e.counters.total_msgs()));
-    }
+    dropped += c.fault_dropped_msgs;
+    dups += c.fault_dup_msgs;
+    dedup_entries += n->reliable_dedup().entries();
+    dedup_senders += n->reliable_dedup().senders();
+    pending += n->pending_reliable_count();
+    if (n->alive_) per_node.observe(static_cast<double>(c.total_msgs()));
   }
   std::uint64_t total_m = 0;
   std::uint64_t total_b = 0;
@@ -372,10 +317,10 @@ void PastryNetwork::export_metrics(obs::MetricsRegistry& reg) const {
 }
 
 void PastryNetwork::stabilize_all() {
-  for (auto& [id, e] : nodes_) {
-    if (e.alive) {
-      e.node->stabilize();
-      e.node->maintain_routing_table();
+  for (auto& [id, n] : nodes_) {
+    if (n->alive_) {
+      n->stabilize();
+      n->maintain_routing_table();
     }
   }
 }
@@ -390,14 +335,14 @@ void PastryNetwork::ckpt_save(ckpt::Writer& w) const {
   w.begin_section("pastry");
   w.i64(last_delivery_hops_);
   w.u32(static_cast<std::uint32_t>(nodes_.size()));
-  for (const auto& [id, e] : nodes_) {
+  for (const auto& [id, n] : nodes_) {
     w.u128(id);
-    w.boolean(e.alive);
-    for (std::uint64_t v : e.counters.msgs_sent) w.u64(v);
-    for (std::uint64_t v : e.counters.bytes_sent) w.u64(v);
-    w.u64(e.counters.fault_dropped_msgs);
-    w.u64(e.counters.fault_dup_msgs);
-    e.node->ckpt_save(w);
+    w.boolean(n->alive_);
+    for (std::uint64_t v : n->counters_.msgs_sent) w.u64(v);
+    for (std::uint64_t v : n->counters_.bytes_sent) w.u64(v);
+    w.u64(n->counters_.fault_dropped_msgs);
+    w.u64(n->counters_.fault_dup_msgs);
+    n->ckpt_save(w);
   }
   w.end_section();
 }
@@ -409,7 +354,7 @@ void PastryNetwork::ckpt_restore(ckpt::Reader& r) {
     throw ckpt::CkptError(
         "pastry restore: node count differs from the reconstruction");
   }
-  for (auto& [id, e] : nodes_) {
+  for (auto& [id, n] : nodes_) {
     // nodes_ is id-ordered and the save loop walked the same order, so the
     // ids must line up one-to-one.
     if (r.u128() != id) {
@@ -418,17 +363,17 @@ void PastryNetwork::ckpt_restore(ckpt::Reader& r) {
                             " — reconstruction created different nodes");
     }
     bool alive = r.boolean();
-    if (alive && !e.alive) {
+    if (alive && !n->alive_) {
       throw ckpt::CkptError("pastry restore: node " + id.short_hex() +
                             " is dead in the reconstruction but alive in the "
                             "checkpoint");
     }
-    e.alive = alive;  // re-kill nodes that had failed by checkpoint time
-    for (std::uint64_t& v : e.counters.msgs_sent) v = r.u64();
-    for (std::uint64_t& v : e.counters.bytes_sent) v = r.u64();
-    e.counters.fault_dropped_msgs = r.u64();
-    e.counters.fault_dup_msgs = r.u64();
-    e.node->ckpt_restore(r);
+    n->alive_ = alive;  // re-kill nodes that had failed by checkpoint time
+    for (std::uint64_t& v : n->counters_.msgs_sent) v = r.u64();
+    for (std::uint64_t& v : n->counters_.bytes_sent) v = r.u64();
+    n->counters_.fault_dropped_msgs = r.u64();
+    n->counters_.fault_dup_msgs = r.u64();
+    n->ckpt_restore(r);
   }
   r.exit_section();
 }

@@ -1,12 +1,12 @@
 // The collection of Pastry nodes plus the simulated transport between them.
 //
-// All inter-node traffic flows through send_route / send_direct, which
-// schedule delivery on the discrete-event simulator with a latency from the
-// datacenter topology and charge per-sender message/byte counters (the raw
-// data behind the paper's Fig. 15 overhead CDFs).
+// All inter-node traffic flows through send_route / send_direct, which share
+// one private transmit step: it charges the sending node's message/byte
+// counters (the raw data behind the paper's Fig. 15 overhead CDFs), takes
+// the fault plan's verdict, and schedules delivery on the discrete-event
+// simulator with a latency from the datacenter topology.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,24 +30,6 @@ namespace vb::pastry {
 struct BulkFleetEntry {
   U128 id;
   net::HostId host = -1;
-};
-
-/// Per-node traffic counters, split by message category.
-struct TrafficCounters {
-  static constexpr int kCategories = 7;
-  std::array<std::uint64_t, kCategories> msgs_sent{};
-  std::array<std::uint64_t, kCategories> bytes_sent{};
-  /// Messages this node sent that the fault plan destroyed in flight
-  /// (loss or partition) / duplicated in flight.  Kept outside the
-  /// category arrays: the sender is still charged for the send, these
-  /// record what the network did to it afterwards.
-  std::uint64_t fault_dropped_msgs = 0;
-  std::uint64_t fault_dup_msgs = 0;
-
-  std::uint64_t total_msgs() const;
-  std::uint64_t total_bytes() const;
-  void add(MsgCategory c, std::size_t bytes);
-  void reset();
 };
 
 class PastryNetwork {
@@ -104,15 +86,19 @@ class PastryNetwork {
   NodeHandle global_closest(const U128& key) const;
 
   // --- transport (used by PastryNode) -----------------------------------
-  void send_route(const NodeHandle& from, const NodeHandle& to, RouteMsg msg);
-  void send_direct(const NodeHandle& from, const NodeHandle& to,
-                   PayloadPtr payload, MsgCategory category);
+  /// One hop of a routed message: `to` receives it in handle_route_msg, and
+  /// a bounce hands it back to the sender's handle_send_failure to reroute.
+  void send_route(PastryNode& from, const NodeHandle& to, RouteMsg msg);
+  /// A point-to-point message: `to` receives it in handle_direct_msg, and a
+  /// bounce only reports the dead peer to the sender.
+  void send_direct(PastryNode& from, const NodeHandle& to, PayloadPtr payload,
+                   MsgCategory category);
 
   // --- chaos injection ----------------------------------------------------
   /// Attaches a fault plan to the transport choke point; nullptr detaches.
   /// The plan must outlive the network (tests own it on the stack).  Every
-  /// send consults the plan exactly once, so (seed, plan) replays are
-  /// bit-identical.
+  /// send from a live node consults the plan exactly once, so (seed, plan)
+  /// replays are bit-identical.
   void set_fault_plan(sim::FaultPlan* plan) { fault_plan_ = plan; }
   sim::FaultPlan* fault_plan() const { return fault_plan_; }
   /// Messages destroyed / duplicated by the fault plan, summed over nodes.
@@ -137,6 +123,7 @@ class PastryNetwork {
   /// are overwritten and distributions rebuilt on every call.
   void export_metrics(obs::MetricsRegistry& reg) const;
 
+  /// The counters of node `id`, dead or alive; throws for an unknown id.
   const TrafficCounters& counters(const U128& id) const;
   /// Snapshot of total messages sent per live node (Fig. 15 input).
   std::vector<std::uint64_t> per_node_msgs() const;
@@ -161,33 +148,35 @@ class PastryNetwork {
   /// event is then a periodic tick or a component-owned timer.
   std::int64_t wire_in_flight() const { return wire_in_flight_; }
 
-  /// Serializes per-node transport entries (liveness, traffic counters)
-  /// and each node's protocol state.  Must be called at a quiesce barrier;
-  /// throws CkptError if wire_in_flight() != 0.
+  /// Serializes each node's liveness, traffic counters and protocol state.
+  /// Must be called at a quiesce barrier; throws CkptError if
+  /// wire_in_flight() != 0.
   void ckpt_save(ckpt::Writer& w) const;
 
-  /// Restores entries and nodes.  The reconstruction must contain the same
+  /// Restores the same per node.  The reconstruction must contain the same
   /// node ids (all alive — restore re-kills the dead ones); mismatches
   /// throw CkptError.
   void ckpt_restore(ckpt::Reader& r);
 
  private:
-  struct Entry {
-    std::unique_ptr<PastryNode> node;
-    TrafficCounters counters;
-    bool alive = true;
-  };
+  /// Creates node `id` on `host`; throws if the id is taken.
+  PastryNode& insert_node(const U128& id, net::HostId host);
+  /// Node `id`, dead or alive; throws std::out_of_range for an unknown id.
+  PastryNode& known_node(const U128& id) const;
 
-  Entry& entry_of(const U128& id);
-
-  /// Consults the fault plan (if any) for one message from→to.  Returns the
-  /// default no-fault decision when no plan is attached.
-  sim::FaultDecision consult_fault_plan(const NodeHandle& from,
-                                        const NodeHandle& to);
+  /// The transport's single choke point, shared by both send kinds (`Msg`
+  /// is a RouteMsg or a direct message): a dead sender returns before any
+  /// charge or RNG draw; otherwise charge the sender, take the fault
+  /// verdict, trace a drop or duplicate, and schedule the duplicate before
+  /// the primary.  The destination is resolved here, once per message.
+  template <class Msg>
+  void transmit(PastryNode& from, const NodeHandle& to, Msg msg);
 
   sim::Simulator* sim_;
   const net::Topology* topo_;
-  std::map<U128, Entry> nodes_;  // ordered: gives ring order for oracle ops
+  // Ordered: gives ring order for oracle ops.  Nodes are never erased, so
+  // a PastryNode* taken at send time stays valid until delivery.
+  std::map<U128, std::unique_ptr<PastryNode>> nodes_;
   sim::FaultPlan* fault_plan_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   int last_delivery_hops_ = 0;

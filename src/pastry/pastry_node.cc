@@ -9,13 +9,37 @@
 
 namespace vb::pastry {
 
-PastryNode::PastryNode(NodeHandle handle, PastryNetwork* network, int leaf_half,
-                       int neighbor_capacity)
+std::uint64_t TrafficCounters::total_msgs() const {
+  std::uint64_t t = 0;
+  for (auto v : msgs_sent) t += v;
+  return t;
+}
+
+std::uint64_t TrafficCounters::total_bytes() const {
+  std::uint64_t t = 0;
+  for (auto v : bytes_sent) t += v;
+  return t;
+}
+
+void TrafficCounters::add(MsgCategory c, std::size_t bytes) {
+  auto i = static_cast<std::size_t>(c);
+  msgs_sent[i] += 1;
+  bytes_sent[i] += bytes;
+}
+
+void TrafficCounters::reset() {
+  msgs_sent.fill(0);
+  bytes_sent.fill(0);
+  fault_dropped_msgs = 0;
+  fault_dup_msgs = 0;
+}
+
+PastryNode::PastryNode(NodeHandle handle, PastryNetwork* network)
     : handle_(handle),
       network_(network),
       table_(handle.id),
-      leafs_(handle.id, leaf_half),
-      neighbors_(handle.host, neighbor_capacity) {}
+      leafs_(handle.id, kLeafHalf),
+      neighbors_(handle.host, kNeighborCapacity) {}
 
 void PastryNode::add_app(PastryApp* app) { apps_.push_back(app); }
 
@@ -28,7 +52,6 @@ void PastryNode::route(const U128& key, PayloadPtr payload,
   RouteMsg msg;
   msg.key = key;
   msg.payload = std::move(payload);
-  msg.source = handle_;
   msg.category = category;
   msg.hops = 0;
   if (obs::TraceRecorder* tr = network_->trace()) {
@@ -44,7 +67,7 @@ void PastryNode::route(const U128& key, PayloadPtr payload,
 
 void PastryNode::send_direct(const NodeHandle& dest, PayloadPtr payload,
                              MsgCategory category) {
-  network_->send_direct(handle_, dest, std::move(payload), category);
+  network_->send_direct(*this, dest, std::move(payload), category);
 }
 
 void PastryNode::send_reliable(const NodeHandle& dest, PayloadPtr payload,
@@ -80,7 +103,7 @@ void PastryNode::send_reliable(const NodeHandle& dest, PayloadPtr payload,
       pending.rto_s, [this, seq]() { retransmit_reliable(seq); });
   pending_reliable_.emplace(seq, std::move(pending));
 
-  network_->send_direct(handle_, dest, std::move(env), category);
+  network_->send_direct(*this, dest, std::move(env), category);
 }
 
 void PastryNode::retransmit_reliable(std::uint64_t seq) {
@@ -104,7 +127,7 @@ void PastryNode::retransmit_reliable(std::uint64_t seq) {
                 "seq", static_cast<double>(seq), "attempt",
                 static_cast<double>(p.attempts));
   }
-  network_->send_direct(handle_, p.dest, p.envelope, MsgCategory::kRetransmit);
+  network_->send_direct(*this, p.dest, p.envelope, MsgCategory::kRetransmit);
 }
 
 void PastryNode::fail_pending_reliable_to(const NodeHandle& dead) {
@@ -179,7 +202,6 @@ void PastryNode::send_join_request() {
   RouteMsg msg;
   msg.key = handle_.id;
   msg.payload = std::move(req);
-  msg.source = handle_;
   msg.category = MsgCategory::kOverlayMaintenance;
   msg.hops = 1;
   // The join is routed fire-and-forget, so a lossy network can eat it (or
@@ -187,7 +209,7 @@ void PastryNode::send_join_request() {
   // arrives; the whole join protocol is idempotent on duplicates.
   join_timer_ = network_->simulator().schedule_in(
       kJoinRetryS, [this]() { retry_join(); });
-  network_->send_route(handle_, join_bootstrap_, std::move(msg));
+  network_->send_route(*this, join_bootstrap_, std::move(msg));
 }
 
 void PastryNode::retry_join() {
@@ -353,7 +375,7 @@ void PastryNode::handle_route_msg(RouteMsg msg) {
                 static_cast<double>(next.host));
   }
   msg.hops += 1;
-  network_->send_route(handle_, next, std::move(msg));
+  network_->send_route(*this, next, std::move(msg));
 }
 
 void PastryNode::handle_direct_msg(const NodeHandle& from,

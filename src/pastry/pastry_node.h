@@ -7,6 +7,7 @@
 // PastryApp interface (Scribe is the main client).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -24,6 +25,24 @@ namespace vb::pastry {
 
 class PastryNetwork;
 class PastryNode;
+
+/// Per-node traffic counters, split by message category.
+struct TrafficCounters {
+  static constexpr int kCategories = 7;
+  std::array<std::uint64_t, kCategories> msgs_sent{};
+  std::array<std::uint64_t, kCategories> bytes_sent{};
+  /// Messages this node sent that the fault plan destroyed in flight
+  /// (loss or partition) / duplicated in flight.  Kept outside the
+  /// category arrays: the sender is still charged for the send, these
+  /// record what the network did to it afterwards.
+  std::uint64_t fault_dropped_msgs = 0;
+  std::uint64_t fault_dup_msgs = 0;
+
+  std::uint64_t total_msgs() const;
+  std::uint64_t total_bytes() const;
+  void add(MsgCategory c, std::size_t bytes);
+  void reset();
+};
 
 /// Upcall interface for overlay applications (the Pastry "common API").
 class PastryApp {
@@ -54,8 +73,10 @@ class PastryApp {
 
 class PastryNode {
  public:
-  PastryNode(NodeHandle handle, PastryNetwork* network, int leaf_half = 8,
-             int neighbor_capacity = 16);
+  static constexpr int kLeafHalf = 8;  // leaf-set members on each side
+  static constexpr int kNeighborCapacity = 16;
+
+  PastryNode(NodeHandle handle, PastryNetwork* network);
 
   PastryNode(const PastryNode&) = delete;
   PastryNode& operator=(const PastryNode&) = delete;
@@ -63,6 +84,12 @@ class PastryNode {
   const NodeHandle& handle() const { return handle_; }
   const U128& id() const { return handle_.id; }
   net::HostId host() const { return handle_.host; }
+
+  /// False once the node has failed or departed: its sends are dropped
+  /// uncharged and copies addressed to it bounce to their senders.
+  bool alive() const { return alive_; }
+  /// What this node has sent (charged by PastryNetwork at send time).
+  const TrafficCounters& counters() const { return counters_; }
 
   /// Registers an application for upcalls.  Not owned; must outlive node.
   void add_app(PastryApp* app);
@@ -126,9 +153,6 @@ class PastryNode {
   /// (~23.5 s) so a step is only abandoned once retransmission has given up.
   static constexpr double kScanStepTimeoutS = 30.0;
 
-  /// True while the ring-presence sweep is still visiting nodes (test aid).
-  bool ring_scan_active() const { return scan_active_; }
-
   /// One round of leaf-set stabilization: exchange leaf sets with the two
   /// extreme leaves.  Cheap, idempotent; benches call it periodically.
   void stabilize();
@@ -167,6 +191,9 @@ class PastryNode {
   void ckpt_restore(ckpt::Reader& r);
 
  private:
+  // The transport flips alive_, charges counters_ and checkpoints both.
+  friend class PastryNetwork;
+
   /// One reliable send awaiting its ack.
   struct PendingReliable {
     NodeHandle dest;
@@ -190,6 +217,8 @@ class PastryNode {
 
   NodeHandle handle_;
   PastryNetwork* network_;
+  bool alive_ = true;
+  TrafficCounters counters_;
   int next_maintenance_row_ = 0;
   RoutingTable table_;
   LeafSet leafs_;

@@ -1,8 +1,7 @@
 // Checkpoint payload codecs for the Scribe layer (see ckpt/payload_codec.h).
-// Every Scribe payload gets a codec: the ones sent via send_reliable (leave,
-// heartbeat, heartbeat_nack, parent_reset, walk, anycast_ok, anycast_fail)
-// can sit in a node's retransmit queue at a checkpoint barrier, and the
-// rest are cheap to keep registered alongside them.
+// Only the payloads sent via send_reliable (leave, heartbeat,
+// heartbeat_nack, parent_reset, walk, anycast_ok, anycast_fail) can sit in
+// a node's retransmit queue at a checkpoint barrier, so only they have one.
 #include <memory>
 #include <vector>
 
@@ -90,32 +89,6 @@ std::vector<pastry::NodeHandle> get_handles(Reader& r) {
 
 void register_ckpt_payload_codecs() {
   PayloadCodec::add(
-      "scribe.join",
-      [](Writer& w, const pastry::Payload& p) {
-        const auto& m = ckpt::payload_cast<JoinMsg>(p);
-        w.u128(m.group);
-        ckpt::put_handle(w, m.joiner);
-      },
-      [](Reader& r) -> pastry::PayloadPtr {
-        auto m = std::make_shared<JoinMsg>();
-        m->group = r.u128();
-        m->joiner = ckpt::get_handle(r);
-        return m;
-      });
-  PayloadCodec::add(
-      "scribe.create",
-      [](Writer& w, const pastry::Payload& p) {
-        const auto& m = ckpt::payload_cast<CreateMsg>(p);
-        w.u128(m.group);
-        ckpt::put_handle(w, m.creator);
-      },
-      [](Reader& r) -> pastry::PayloadPtr {
-        auto m = std::make_shared<CreateMsg>();
-        m->group = r.u128();
-        m->creator = ckpt::get_handle(r);
-        return m;
-      });
-  PayloadCodec::add(
       "scribe.heartbeat",
       [](Writer& w, const pastry::Payload& p) {
         const auto& m = ckpt::payload_cast<HeartbeatMsg>(p);
@@ -159,55 +132,6 @@ void register_ckpt_payload_codecs() {
         auto m = std::make_shared<LeaveMsg>();
         m->group = r.u128();
         m->child = ckpt::get_handle(r);
-        return m;
-      });
-  PayloadCodec::add(
-      "scribe.multicast",
-      [](Writer& w, const pastry::Payload& p) {
-        const auto& m = ckpt::payload_cast<MulticastMsg>(p);
-        w.u128(m.group);
-        PayloadCodec::encode_ptr(w, m.inner);
-        ckpt::put_category(w, m.inner_category);
-      },
-      [](Reader& r) -> pastry::PayloadPtr {
-        auto m = std::make_shared<MulticastMsg>();
-        m->group = r.u128();
-        m->inner = PayloadCodec::decode_ptr(r);
-        m->inner_category = ckpt::get_category(r);
-        return m;
-      });
-  PayloadCodec::add(
-      "scribe.disseminate",
-      [](Writer& w, const pastry::Payload& p) {
-        const auto& m = ckpt::payload_cast<DisseminateMsg>(p);
-        w.u128(m.group);
-        PayloadCodec::encode_ptr(w, m.inner);
-        ckpt::put_category(w, m.inner_category);
-      },
-      [](Reader& r) -> pastry::PayloadPtr {
-        auto m = std::make_shared<DisseminateMsg>();
-        m->group = r.u128();
-        m->inner = PayloadCodec::decode_ptr(r);
-        m->inner_category = ckpt::get_category(r);
-        return m;
-      });
-  PayloadCodec::add(
-      "scribe.anycast",
-      [](Writer& w, const pastry::Payload& p) {
-        const auto& m = ckpt::payload_cast<AnycastMsg>(p);
-        w.u128(m.group);
-        PayloadCodec::encode_ptr(w, m.inner);
-        ckpt::put_handle(w, m.origin);
-        ckpt::put_category(w, m.inner_category);
-        w.u64(m.trace);
-      },
-      [](Reader& r) -> pastry::PayloadPtr {
-        auto m = std::make_shared<AnycastMsg>();
-        m->group = r.u128();
-        m->inner = PayloadCodec::decode_ptr(r);
-        m->origin = ckpt::get_handle(r);
-        m->inner_category = ckpt::get_category(r);
-        m->trace = r.u64();
         return m;
       });
   PayloadCodec::add(

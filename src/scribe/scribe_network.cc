@@ -26,14 +26,14 @@ ScribeNode& ScribeNetwork::at(const U128& id) {
 
 ScribeNode* ScribeNetwork::find(const U128& id) {
   auto it = scribes_.find(id);
-  if (it == scribes_.end() || !net_->is_alive(id)) return nullptr;
+  if (it == scribes_.end() || !it->second->owner().alive()) return nullptr;
   return it->second.get();
 }
 
 std::vector<ScribeNode*> ScribeNetwork::nodes() {
   std::vector<ScribeNode*> out;
   for (auto& [id, s] : scribes_) {
-    if (net_->is_alive(id)) out.push_back(s.get());
+    if (s->owner().alive()) out.push_back(s.get());
   }
   return out;
 }

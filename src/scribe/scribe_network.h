@@ -27,11 +27,6 @@ class ScribeNetwork {
 
   pastry::PastryNetwork& pastry() { return *net_; }
 
-  /// Mirrors PastryNetwork::set_fault_plan — Scribe traffic rides the same
-  /// transport choke point, so one plan perturbs overlay and tree traffic
-  /// alike.  nullptr detaches.
-  void set_fault_plan(sim::FaultPlan* plan) { net_->set_fault_plan(plan); }
-
   // --- whole-tree inspection (test/bench support) ------------------------
 
   /// All live nodes currently subscribed to `group`.

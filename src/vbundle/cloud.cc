@@ -105,7 +105,7 @@ VBundleCloud::BootResult VBundleCloud::boot_near_key(host::CustomerId c,
   int gw = static_cast<int>(vm) % n;
   for (int probe = 0; probe < n; ++probe) {
     int h = (gw + probe) % n;
-    if (pastry_->is_alive(directory_[static_cast<std::size_t>(h)]->node().id())) {
+    if (directory_[static_cast<std::size_t>(h)]->node().alive()) {
       gw = h;
       break;
     }

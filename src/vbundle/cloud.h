@@ -125,7 +125,6 @@ class VBundleCloud {
   /// Attaches a trace recorder to the transport choke point (nullptr
   /// detaches).  Recording is passive, so sim outcomes are unchanged.
   void set_trace_recorder(obs::TraceRecorder* t) { pastry_->set_trace(t); }
-  obs::TraceRecorder* trace_recorder() const { return pastry_->trace(); }
 
   /// Pushes a full metrics snapshot into `reg`: simulator event counts,
   /// pastry transport roll-ups (via PastryNetwork::export_metrics), summed

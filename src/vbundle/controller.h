@@ -188,7 +188,6 @@ class VBundleAgent : public pastry::PastryApp,
   void reevaluate_role();
   void try_shed();
   host::VmId pick_vm_to_shed() const;
-  double demand_discount_outbound() const;
   /// Arms (or re-arms at restore) the shedder-side reply timeout for query
   /// `seq` and tracks it in query_timers_ so checkpoints can serialize it.
   void arm_query_timeout(std::uint64_t seq, std::uint64_t trace);

@@ -29,28 +29,6 @@ bool MigrationManager::worth_migrating(const host::Vm& vm,
   return benefit >= cfg_.cost_factor * cost;
 }
 
-sim::SimTime MigrationManager::start(host::VmId vm, int dst_host,
-                                     std::function<void(host::VmId, int)> on_done) {
-  host::Vm& v = fleet_->vm(vm);
-  if (v.host == -1) throw std::logic_error("MigrationManager: VM not placed");
-  if (v.migrating) throw std::logic_error("MigrationManager: already migrating");
-  v.migrating = true;
-  double dur = duration_s(v);
-  ++started_;
-  ++in_flight_generic_;
-  total_downtime_s_ += cfg_.downtime_s;
-  total_megabits_ += v.spec.ram_mb * 8.0;
-  sim::SimTime done_at = sim_->now() + dur;
-  sim_->schedule_at(done_at, [this, vm, dst_host, cb = std::move(on_done)]() {
-    // Cutover: the receiver's hold becomes the real reservation.
-    fleet_->migrate(vm, dst_host, /*consume_hold=*/true);
-    ++completed_;
-    --in_flight_generic_;
-    if (cb) cb(vm, dst_host);
-  });
-  return done_at;
-}
-
 sim::SimTime MigrationManager::start_shuffle(const ShuffleRecord& rec,
                                              ShuffleClient* client) {
   if (client == nullptr) {
@@ -88,12 +66,6 @@ void MigrationManager::finish_shuffle(host::VmId vm) {
 }
 
 void MigrationManager::ckpt_save(ckpt::Writer& w) const {
-  if (in_flight_generic_ != 0) {
-    throw ckpt::CkptError(
-        "migration: " + std::to_string(in_flight_generic_) +
-        " closure-based migration(s) in flight; only shuffle migrations "
-        "(start_shuffle) are checkpointable");
-  }
   w.begin_section("migration");
   w.u64(started_);
   w.u64(completed_);
@@ -120,7 +92,6 @@ void MigrationManager::ckpt_restore(
   completed_ = r.u64();
   total_downtime_s_ = r.f64();
   total_megabits_ = r.f64();
-  in_flight_generic_ = 0;
   shuffles_.clear();
   std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {

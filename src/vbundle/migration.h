@@ -69,20 +69,11 @@ class MigrationManager {
   /// `deficit_mbps`?
   bool worth_migrating(const host::Vm& vm, double deficit_mbps) const;
 
-  /// Starts a live migration to `dst_host` (which must already hold the
-  /// reservation via Host::hold).  `on_done(vm, dst)` fires at cutover.
-  /// Returns the expected completion time.
-  ///
-  /// Generic entry point for baselines and tests; migrations started this
-  /// way carry an opaque closure and therefore CANNOT ride a checkpoint —
-  /// ckpt_save throws while any are in flight.  The shuffler uses
-  /// start_shuffle instead.
-  sim::SimTime start(host::VmId vm, int dst_host,
-                     std::function<void(host::VmId, int)> on_done);
-
-  /// Starts a shuffle migration described by `rec`; at cutover the fleet is
-  /// updated and `client->shuffle_migration_done(rec)` fires.  Fully
-  /// serializable: an in-flight shuffle survives checkpoint/restore.
+  /// Starts a live migration of `rec.vm` to `rec.dst_host`, which must
+  /// already hold the reservation via Host::hold.  At cutover the hold
+  /// becomes the VM's reservation and `client->shuffle_migration_done(rec)`
+  /// fires.  Returns the expected completion time.  Fully serializable: an
+  /// in-flight migration survives checkpoint/restore.
   sim::SimTime start_shuffle(const ShuffleRecord& rec, ShuffleClient* client);
 
   std::uint64_t started() const { return started_; }
@@ -93,8 +84,7 @@ class MigrationManager {
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
   /// Serializes counters and every in-flight shuffle migration (record plus
-  /// its completion timer's (fire_time, event_seq)).  Throws CkptError if a
-  /// closure-based generic migration is in flight.
+  /// its completion timer's (fire_time, event_seq)).
   void ckpt_save(ckpt::Writer& w) const;
   /// `resolve` maps a ShuffleRecord::src_host to its completion sink (the
   /// reconstructed agent on that host).
@@ -114,7 +104,6 @@ class MigrationManager {
   MigrationConfig cfg_;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t in_flight_generic_ = 0;
   double total_downtime_s_ = 0.0;
   double total_megabits_ = 0.0;
   std::map<host::VmId, InFlightShuffle> shuffles_;

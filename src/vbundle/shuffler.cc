@@ -12,10 +12,6 @@ namespace vb::core {
 
 using pastry::MsgCategory;
 
-double VBundleAgent::demand_discount_outbound() const {
-  return pending_out_demand_;
-}
-
 double VBundleAgent::effective_utilization() const {
   const host::Host& h = fleet_->host(node_->host());
   double demand = fleet_->host_demand_mbps(node_->host());

@@ -34,11 +34,13 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+/// A routed token names its origin, which the receiver acks it back to.
 struct TokenPayload : pastry::Payload {
-  explicit TokenPayload(std::uint64_t t) : token(t) {}
+  TokenPayload(std::uint64_t t, pastry::NodeHandle o) : token(t), origin(o) {}
   std::size_t wire_bytes() const override { return 48; }
   std::string name() const override { return "test.bulk_token"; }
   std::uint64_t token;
+  pastry::NodeHandle origin;
 };
 
 void register_codecs() {
@@ -46,10 +48,13 @@ void register_codecs() {
   ckpt::PayloadCodec::add(
       "test.bulk_token",
       [](ckpt::Writer& w, const pastry::Payload& p) {
-        w.u64(ckpt::payload_cast<TokenPayload>(p).token);
+        const auto& t = ckpt::payload_cast<TokenPayload>(p);
+        w.u64(t.token);
+        ckpt::put_handle(w, t.origin);
       },
       [](ckpt::Reader& r) -> pastry::PayloadPtr {
-        return std::make_shared<TokenPayload>(r.u64());
+        std::uint64_t token = r.u64();
+        return std::make_shared<TokenPayload>(token, ckpt::get_handle(r));
       });
 }
 
@@ -61,8 +66,9 @@ class TokenApp : public pastry::PastryApp {
     auto tok = std::dynamic_pointer_cast<const TokenPayload>(msg.payload);
     if (!tok) return;
     registry.push_back(tok->token);
-    self.send_reliable(msg.source,
-                       std::make_shared<TokenPayload>(tok->token ^ 0xACCULL));
+    std::uint64_t ack = tok->token ^ 0xACCULL;
+    self.send_reliable(tok->origin,
+                       std::make_shared<TokenPayload>(ack, self.handle()));
   }
 
   void receive_direct(pastry::PastryNode&, const pastry::NodeHandle&,
@@ -92,8 +98,10 @@ struct World {
       sim.schedule_periodic(
           0.05 + 0.001 * h, 0.25,
           [app, node] {
-            node->route(app->rng.next_u128(),
-                        std::make_shared<TokenPayload>(app->rng.next_u64()));
+            U128 key = app->rng.next_u128();
+            std::uint64_t token = app->rng.next_u64();
+            auto tok = std::make_shared<TokenPayload>(token, node->handle());
+            node->route(key, tok);
             return true;
           },
           kPeriodicUntil);

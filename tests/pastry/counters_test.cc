@@ -2,9 +2,13 @@
 // bytes are charged to the sender, split by category, and reset cleanly.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pastry/pastry_network.h"
+#include "sim/fault_plan.h"
 
 namespace vb::pastry {
 namespace {
@@ -145,6 +149,111 @@ TEST(Counters, ReliableStateGauges) {
   EXPECT_EQ(gauge("pastry.reliable.pending"), 0);
   EXPECT_EQ(gauge("pastry.reliable.dedup_entries"), 2);
   EXPECT_EQ(gauge("pastry.reliable.dedup_senders"), 3);
+}
+
+/// Fault verdicts seen by the transport in one phase: per-sender sums,
+/// network totals, and the trace instants recorded for them.
+struct Verdicts {
+  std::uint64_t sender_drops = 0;
+  std::uint64_t sender_dups = 0;
+  std::uint64_t traced_drops = 0;
+  std::uint64_t traced_dups = 0;
+};
+
+Verdicts tally(Harness& hx, const obs::TraceRecorder& trace) {
+  Verdicts v;
+  for (const PastryNode* n : hx.net.nodes()) {
+    v.sender_drops += n->counters().fault_dropped_msgs;
+    v.sender_dups += n->counters().fault_dup_msgs;
+  }
+  for (const obs::TraceEvent& e : trace.snapshot()) {
+    if (std::strcmp(e.name, "fault.drop") == 0 ||
+        std::strcmp(e.name, "fault.partition_drop") == 0) {
+      ++v.traced_drops;
+    } else if (std::strcmp(e.name, "fault.dup") == 0) {
+      ++v.traced_dups;
+    }
+  }
+  return v;
+}
+
+TEST(Counters, FaultVerdictsAreChargedAndTraced) {
+  // Both send kinds go through one choke point: every send is charged to
+  // its sender, and each drop or duplicate is counted once on the sender
+  // and traced once.
+  Harness hx;
+  obs::TraceRecorder trace;
+  hx.net.set_trace(&trace);
+  sim::FaultPlan plan(5);
+  plan.uniform_loss(0.3).uniform_duplication(0.3);
+  hx.net.set_fault_plan(&plan);
+  auto nodes = hx.net.nodes();
+  constexpr int kSends = 200;
+
+  hx.net.reset_counters();
+  for (int i = 0; i < kSends; ++i) {
+    // Every ordered pair of distinct nodes, never a send to self.
+    PastryNode* from = nodes[static_cast<std::size_t>(i % 8)];
+    PastryNode* to = nodes[static_cast<std::size_t>((i + 1 + i / 8 % 7) % 8)];
+    from->send_direct(to->handle(), std::make_shared<Blob>(10));
+  }
+  hx.sim.run_to_completion();
+  EXPECT_EQ(hx.net.wire_in_flight(), 0);
+  EXPECT_EQ(hx.net.total_msgs(), static_cast<std::uint64_t>(kSends));
+  Verdicts direct = tally(hx, trace);
+  EXPECT_GT(direct.sender_drops, 0u);
+  EXPECT_GT(direct.sender_dups, 0u);
+  EXPECT_EQ(direct.sender_drops, hx.net.total_fault_dropped());
+  EXPECT_EQ(direct.sender_dups, hx.net.total_fault_dups());
+  EXPECT_EQ(direct.traced_drops, direct.sender_drops);
+  EXPECT_EQ(direct.traced_dups, direct.sender_dups);
+  EXPECT_EQ(static_cast<std::uint64_t>(hx.sink.direct),
+            kSends - direct.sender_drops + direct.sender_dups);
+  EXPECT_EQ(trace.dropped(), 0u);
+
+  hx.net.reset_counters();
+  trace.clear();
+  Rng keys(9);
+  for (int i = 0; i < kSends; ++i) {
+    nodes[static_cast<std::size_t>(i % 8)]->route(keys.next_u128(),
+                                                  std::make_shared<Blob>(10));
+  }
+  hx.sim.run_to_completion();
+  EXPECT_EQ(hx.net.wire_in_flight(), 0);
+  Verdicts routed = tally(hx, trace);
+  EXPECT_GT(routed.sender_drops, 0u);
+  EXPECT_GT(routed.sender_dups, 0u);
+  EXPECT_EQ(routed.sender_drops, hx.net.total_fault_dropped());
+  EXPECT_EQ(routed.sender_dups, hx.net.total_fault_dups());
+  EXPECT_EQ(routed.traced_drops, routed.sender_drops);
+  EXPECT_EQ(routed.traced_dups, routed.sender_dups);
+  EXPECT_EQ(trace.dropped(), 0u);
+}
+
+TEST(Counters, DeadSenderIsNotChargedAndSendsNothing) {
+  // A dead node's leftover timers may still try to send: nothing is
+  // charged, the fault plan draws nothing, and nothing reaches the wire.
+  Harness hx;
+  sim::FaultPlan plan(5);
+  plan.uniform_loss(0.3);
+  hx.net.set_fault_plan(&plan);
+  auto nodes = hx.net.nodes();
+  PastryNode* victim = nodes[2];
+  hx.net.kill_node(victim->id());
+  std::uint64_t rng_before = plan.ckpt_rng_state().state;
+
+  victim->send_direct(nodes[5]->handle(), std::make_shared<Blob>(100));
+  victim->route(~victim->id(), std::make_shared<Blob>(64));
+  EXPECT_FALSE(victim->alive());
+  EXPECT_EQ(victim->counters().total_msgs(), 0u);
+  EXPECT_EQ(victim->counters().total_bytes(), 0u);
+  EXPECT_EQ(hx.net.total_msgs(), 0u);
+  EXPECT_EQ(plan.ckpt_rng_state().state, rng_before);
+  EXPECT_EQ(hx.net.wire_in_flight(), 0);
+  EXPECT_TRUE(hx.sim.idle());
+  hx.sim.run_to_completion();
+  EXPECT_EQ(hx.sink.direct, 0);
+  EXPECT_EQ(hx.sink.delivered, 0);
 }
 
 TEST(Counters, UnknownNodeThrows) {

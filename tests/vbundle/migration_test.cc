@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace vb::core {
 namespace {
 
@@ -11,6 +13,21 @@ struct Env {
   MigrationConfig cfg;
   Env() { cfg.rate_mbps = 1024.0; cfg.downtime_s = 0.5; }
 };
+
+/// Records every cutover the manager reports.
+struct RecordingClient : ShuffleClient {
+  std::vector<ShuffleRecord> done;
+  void shuffle_migration_done(const ShuffleRecord& rec) override {
+    done.push_back(rec);
+  }
+};
+
+ShuffleRecord shuffle_to(host::VmId vm, int dst_host) {
+  ShuffleRecord rec;
+  rec.vm = vm;
+  rec.dst_host = dst_host;
+  return rec;
+}
 
 TEST(Migration, DurationScalesWithRam) {
   Env e;
@@ -30,14 +47,17 @@ TEST(Migration, StartMovesVmAtCutover) {
   ASSERT_TRUE(e.fleet.place(v, 0));
   e.fleet.hold_all(2, e.fleet.vm(v).spec);
 
-  int done_host = -1;
-  sim::SimTime eta = mgr.start(v, 2, [&](host::VmId, int dst) { done_host = dst; });
+  RecordingClient client;
+  sim::SimTime eta = mgr.start_shuffle(shuffle_to(v, 2), &client);
   EXPECT_TRUE(e.fleet.vm(v).migrating);
   EXPECT_EQ(e.fleet.vm(v).host, 0);  // still at source pre-cutover
   EXPECT_EQ(mgr.in_flight(), 1u);
+  EXPECT_TRUE(client.done.empty());
 
   e.sim.run_until(eta + 0.001);
-  EXPECT_EQ(done_host, 2);
+  ASSERT_EQ(client.done.size(), 1u);
+  EXPECT_EQ(client.done[0].vm, v);
+  EXPECT_EQ(client.done[0].dst_host, 2);
   EXPECT_EQ(e.fleet.vm(v).host, 2);
   EXPECT_FALSE(e.fleet.vm(v).migrating);
   EXPECT_EQ(mgr.completed(), 1u);
@@ -48,12 +68,13 @@ TEST(Migration, StartMovesVmAtCutover) {
 TEST(Migration, RejectsUnplacedOrDoubleMigration) {
   Env e;
   MigrationManager mgr(&e.sim, &e.fleet, e.cfg);
+  RecordingClient client;
   host::VmId v = e.fleet.create_vm(0, host::VmSpec{100, 200});
-  EXPECT_THROW(mgr.start(v, 1, nullptr), std::logic_error);
+  EXPECT_THROW(mgr.start_shuffle(shuffle_to(v, 1), &client), std::logic_error);
   ASSERT_TRUE(e.fleet.place(v, 0));
   e.fleet.hold_all(1, e.fleet.vm(v).spec);
-  mgr.start(v, 1, nullptr);
-  EXPECT_THROW(mgr.start(v, 1, nullptr), std::logic_error);
+  mgr.start_shuffle(shuffle_to(v, 1), &client);
+  EXPECT_THROW(mgr.start_shuffle(shuffle_to(v, 1), &client), std::logic_error);
 }
 
 TEST(Migration, CostBenefitGate) {
@@ -78,15 +99,17 @@ TEST(Migration, GateDisabledByDefault) {
 TEST(Migration, StatsAccumulate) {
   Env e;
   MigrationManager mgr(&e.sim, &e.fleet, e.cfg);
+  RecordingClient client;
   for (int i = 0; i < 3; ++i) {
     host::VmId v = e.fleet.create_vm(0, host::VmSpec{50, 100, 256});
     ASSERT_TRUE(e.fleet.place(v, 0));
     e.fleet.hold_all(1, e.fleet.vm(v).spec);
-    mgr.start(v, 1, nullptr);
+    mgr.start_shuffle(shuffle_to(v, 1), &client);
   }
   e.sim.run_to_completion();
   EXPECT_EQ(mgr.started(), 3u);
   EXPECT_EQ(mgr.completed(), 3u);
+  EXPECT_EQ(client.done.size(), 3u);
   EXPECT_DOUBLE_EQ(mgr.total_downtime_s(), 1.5);
   EXPECT_DOUBLE_EQ(mgr.total_megabits_moved(), 3 * 256 * 8.0);
 }
