@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace vb::baseline {
@@ -10,6 +11,25 @@ namespace {
 // Feasibility comparisons tolerate tiny float residue from repeated
 // reserve/release cycles; the slack is far below any real reservation.
 constexpr double kEps = 1e-9;
+
+// VMs with these reservations that `hh` can still admit: the tightest of its
+// bandwidth, CPU and memory headroom, clamped into [0, INT_MAX].
+int uncapped_slots(const host::Host& hh, double bw, double cpu, double ram) {
+  double s = std::numeric_limits<int>::max();
+  if (bw > 0) {
+    s = std::min(s, std::floor((hh.free_reservation_mbps() + kEps) / bw));
+  }
+  if (cpu > 0) {
+    s = std::min(
+        s, std::floor((hh.cpu_capacity() - hh.reserved_cpu() + kEps) / cpu));
+  }
+  if (ram > 0) {
+    s = std::min(
+        s, std::floor((hh.mem_capacity_mb() - hh.reserved_mem_mb() + kEps) /
+                      ram));
+  }
+  return s > 0 ? static_cast<int>(s) : 0;
+}
 }  // namespace
 
 GreedyPlacer::GreedyPlacer(host::Fleet* fleet) : fleet_(fleet) {
@@ -41,6 +61,28 @@ double GreedyTreePacker::uplink_free(net::LinkId l) const {
          uplink_reserved_[static_cast<std::size_t>(l)];
 }
 
+const std::vector<int>& GreedyTreePacker::slots_for(const host::VmSpec& spec) {
+  auto it = std::find_if(
+      slot_caches_.begin(), slot_caches_.end(), [&](const SlotCache& c) {
+        return c.bw == spec.reservation_mbps &&
+               c.cpu == spec.cpu_reservation && c.ram == spec.ram_mb;
+      });
+  if (it == slot_caches_.end()) {
+    // Seq 0 precedes every stamp, so the first refresh derives every host.
+    slot_caches_.push_back(SlotCache{
+        spec.reservation_mbps, spec.cpu_reservation, spec.ram_mb, 0,
+        std::vector<int>(static_cast<std::size_t>(fleet_->num_hosts()))});
+    it = slot_caches_.end() - 1;
+  }
+  SlotCache& c = *it;
+  fleet_->for_each_host_changed_since(c.seq, [&](int h) {
+    c.slots[static_cast<std::size_t>(h)] =
+        uncapped_slots(fleet_->host(h), c.bw, c.cpu, c.ram);
+  });
+  c.seq = fleet_->reservation_seq();
+  return c.slots;
+}
+
 GreedyTreePacker::Result GreedyTreePacker::pack(int n_vms,
                                                 const host::VmSpec& spec) {
   Result res;
@@ -51,40 +93,22 @@ GreedyTreePacker::Result GreedyTreePacker::pack(int n_vms,
   const int np = topo_->num_pods();
   const double bw = spec.reservation_mbps;
 
-  // VMs of `spec` each host can still admit (the tightest of its bandwidth,
-  // CPU and memory headroom, capped at n) and their per-rack totals, in one
-  // pass over each rack's contiguous host ids.  A headroom of at least
-  // (n + 2) * unit holds more than n units even after rounding, so its floor
-  // cannot lower s (<= n): the division is skipped and s is the same double.
-  const double cpu = spec.cpu_reservation;
-  const double ram = spec.ram_mb;
-  const double bw_roomy = (n + 2) * bw;
-  const double cpu_roomy = (n + 2) * cpu;
-  const double ram_roomy = (n + 2) * ram;
+  // VMs of `spec` each host can still admit, capped at n, and their
+  // per-rack totals, in one pass over each rack's contiguous host ids.
+  const std::vector<int>& slots = slots_for(spec);
   const int hosts_per_rack = topo_->config().hosts_per_rack;
-  std::vector<int> slots(static_cast<std::size_t>(nh));
   std::vector<int> rack_slots(static_cast<std::size_t>(nr));
   for (int r = 0, h = 0; r < nr; ++r) {
     int pool = 0;
     for (const int end = h + hosts_per_rack; h < end; ++h) {
-      const host::Host& hh = fleet_->host(h);
-      double s = n;
-      double x = hh.free_reservation_mbps() + kEps;
-      if (bw > 0 && x < bw_roomy) s = std::min(s, std::floor(x / bw));
-      x = hh.cpu_capacity() - hh.reserved_cpu() + kEps;
-      if (cpu > 0 && x < cpu_roomy) s = std::min(s, std::floor(x / cpu));
-      x = hh.mem_capacity_mb() - hh.reserved_mem_mb() + kEps;
-      if (ram > 0 && x < ram_roomy) s = std::min(s, std::floor(x / ram));
-      const int k = std::max(0, static_cast<int>(s));
-      slots[static_cast<std::size_t>(h)] = k;
-      pool += k;
+      pool += std::min(n, slots[static_cast<std::size_t>(h)]);
     }
     rack_slots[static_cast<std::size_t>(r)] = pool;
   }
   res.hosts_examined = static_cast<std::uint64_t>(nh);
   hosts_examined_ += static_cast<std::uint64_t>(nh);
 
-  // Appends `m` VM placements from rack `r`, hosts in id order.
+  // Appends `m` (<= n) VM placements from rack `r`, hosts in id order.
   auto fill_rack = [&](int r, int m) {
     int h = topo_->rack_first_host(r);
     int end = h + hosts_per_rack;

@@ -49,6 +49,21 @@ class GreedyPlacer {
 /// violates an uplink budget rejects the level rather than backtracking) and
 /// fully deterministic: every ordering is by (capacity, id) with explicit
 /// tie-breaks.
+///
+/// Slot cache.  For every distinct spec it has packed (keyed by exact
+/// equality on reservation_mbps, cpu_reservation and ram_mb, the fields that
+/// set a slot count), the packer keeps each host's uncapped slot count
+/// k_h = max(0, min over positive units of floor((free + eps) / unit)),
+/// clamped into int, and the fleet reservation_seq() it is current at.
+/// pack() re-derives k_h only for the hosts
+/// Fleet::for_each_host_changed_since() visits; every other host costs one
+/// int read, no Host read and no division.  The cache follows the one
+/// `Fleet` object passed in, which must change only through its mutators
+/// and ckpt_restore (assigning another Fleet over it would leave the cache
+/// stale).  It costs 4 B per host per distinct spec and is never evicted:
+/// the arena draws every spec from its generator's menu, two entries by
+/// default, which no caller changes.  It is derived state and is not
+/// checkpointed; a packer built after a restore starts empty.
 class GreedyTreePacker {
  public:
   struct Result {
@@ -80,15 +95,29 @@ class GreedyTreePacker {
   }
 
   /// Hosts examined across all pack() calls (decision-cost accounting).
+  /// Every call counts every host, cached or re-derived: the plan reads all
+  /// of their slot counts, and the count must not depend on cache history.
   std::uint64_t hosts_examined() const { return hosts_examined_; }
 
  private:
+  /// Uncapped slot counts of one spec on every host (see the class comment).
+  struct SlotCache {
+    double bw;
+    double cpu;
+    double ram;
+    std::uint64_t seq;       // Fleet::reservation_seq() `slots` is current at
+    std::vector<int> slots;  // index = host id
+  };
+
   double uplink_free(net::LinkId l) const;
+  /// `spec`'s slot counts, refreshed on the hosts changed since last read.
+  const std::vector<int>& slots_for(const host::VmSpec& spec);
 
   host::Fleet* fleet_;
   const net::Topology* topo_;
   std::vector<double> uplink_reserved_;
   std::uint64_t hosts_examined_ = 0;
+  std::vector<SlotCache> slot_caches_;
 };
 
 }  // namespace vb::baseline

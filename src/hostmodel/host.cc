@@ -1,7 +1,6 @@
 #include "hostmodel/host.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace vb::host {
@@ -16,6 +15,7 @@ Fleet::Fleet(int num_hosts, double nic_capacity_mbps, double cpu_capacity,
   for (int h = 0; h < num_hosts; ++h) {
     hosts_.emplace_back(h, nic_capacity_mbps, cpu_capacity, mem_capacity_mb);
   }
+  mark_all_dirty();
 }
 
 VmId Fleet::create_vm(CustomerId customer, const VmSpec& spec) {
@@ -83,11 +83,13 @@ void Fleet::release_hold_all(int h, const VmSpec& spec) {
 void Fleet::mark_dirty(int h) {
   // Host h lies in chunk c iff n*c/64 <= h < n*(c+1)/64 (floored), i.e.
   // c = ceil(64*(h+1)/n) - 1.
-  const std::uint64_t n = hosts_.size();
-  const std::uint64_t c =
-      (kFreeChunks * (static_cast<std::uint64_t>(h) + 1) - 1) / n;
-  free_dirty_ |= std::uint64_t{1} << c;
+  const std::size_t n = hosts_.size();
+  const std::size_t c =
+      (kFreeChunks * (static_cast<std::size_t>(h) + 1) - 1) / n;
+  chunk_seq_[c] = ++reservation_seq_;
 }
+
+void Fleet::mark_all_dirty() { chunk_seq_.fill(++reservation_seq_); }
 
 void Fleet::destroy_vm(VmId id) {
   Vm& v = vm(id);
@@ -186,18 +188,16 @@ std::vector<double> Fleet::free_reservation_snapshot() const {
 }
 
 double Fleet::free_reservation_total() const {
-  const std::size_t n = hosts_.size();
-  for (std::uint64_t d = free_dirty_; d != 0; d &= d - 1) {
-    const int c = std::countr_zero(d);
-    const std::size_t lo = n * static_cast<std::size_t>(c) / kFreeChunks;
-    const std::size_t hi = n * static_cast<std::size_t>(c + 1) / kFreeChunks;
+  for (std::size_t c = 0; c < kFreeChunks; ++c) {
+    if (chunk_seq_[c] <= free_seq_) continue;
     double s = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) {
+    for (std::size_t i = chunk_begin(c), end = chunk_begin(c + 1); i < end;
+         ++i) {
       s += hosts_[i].free_reservation_mbps();
     }
-    free_partial_[static_cast<std::size_t>(c)] = s;
+    free_partial_[c] = s;
   }
-  free_dirty_ = 0;
+  free_seq_ = reservation_seq_;
   double total = 0.0;
   for (double s : free_partial_) total += s;
   return total;
@@ -234,7 +234,7 @@ void Fleet::ckpt_save(ckpt::Writer& w) const {
 }
 
 void Fleet::ckpt_restore(ckpt::Reader& r) {
-  free_dirty_ = ~std::uint64_t{0};  // every host's reservations are rewritten
+  mark_all_dirty();  // every host's reservations are rewritten
   r.enter_section("fleet");
   std::uint32_t nh = r.u32();
   if (nh != hosts_.size()) {

@@ -172,10 +172,35 @@ class Fleet {
   /// Sum of free_reservation_snapshot(), folded in a fixed order: 64 chunks
   /// (chunk c holds hosts [n*c/64, n*(c+1)/64)), each summed from 0.0 in
   /// host order, then the chunk sums added in chunk order.  The chunk sums
-  /// are cached and a reservation change marks only its host's chunk for
-  /// re-summing, so the call costs O(changed chunks x n/64), not O(n).
-  /// Refreshing the cache makes concurrent calls unsafe, const or not.
+  /// are cached and only chunks stamped since the last call are re-summed,
+  /// so the call costs O(changed chunks x n/64), not O(n).  Refreshing the
+  /// cache makes concurrent calls unsafe, const or not.
   double free_reservation_total() const;
+
+  // --- reservation change stamps -----------------------------------------
+  // Every reservation change (place, unplace, migrate, destroy, hold_all,
+  // release_hold_all) stamps its host's chunk with the next sequence
+  // number; ckpt_restore stamps every chunk.  Demand changes stamp nothing.
+  // Caches of per-host state derived from reservations refresh from these
+  // stamps; the stamps are derived state too and are not checkpointed.
+
+  /// The stamp of the latest reservation change (positive from
+  /// construction on: the constructor stamps every chunk).
+  std::uint64_t reservation_seq() const { return reservation_seq_; }
+
+  /// Calls fn(h) for every host of each chunk stamped after `seq`, in host
+  /// order: a superset of the hosts whose reservations changed since
+  /// reservation_seq() returned `seq`.
+  template <class Fn>
+  void for_each_host_changed_since(std::uint64_t seq, Fn&& fn) const {
+    for (std::size_t c = 0; c < kFreeChunks; ++c) {
+      if (chunk_seq_[c] <= seq) continue;
+      for (std::size_t h = chunk_begin(c), end = chunk_begin(c + 1); h < end;
+           ++h) {
+        fn(static_cast<int>(h));
+      }
+    }
+  }
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
   /// Serializes dynamic placement state: per-host reservations and VM lists
@@ -188,16 +213,24 @@ class Fleet {
   void ckpt_restore(ckpt::Reader& r);
 
  private:
-  static constexpr int kFreeChunks = 64;
-  /// Flags host `h`'s chunk of the free-capacity total for re-summing.
+  static constexpr std::size_t kFreeChunks = 64;
+  /// First host of chunk `c` (c = kFreeChunks gives num_hosts()).
+  std::size_t chunk_begin(std::size_t c) const {
+    return hosts_.size() * c / kFreeChunks;
+  }
+  /// Stamps host `h`'s chunk with the next sequence number.
   void mark_dirty(int h);
+  /// Stamps every chunk with the next sequence number.
+  void mark_all_dirty();
 
   std::vector<Host> hosts_;
   std::vector<Vm> vms_;
-  // free_reservation_total()'s cache: one partial sum and one dirty bit
-  // per chunk.
+  std::uint64_t reservation_seq_ = 0;
+  std::array<std::uint64_t, kFreeChunks> chunk_seq_{};  // last stamp per chunk
+  // free_reservation_total()'s cache: one partial sum per chunk, current
+  // as of stamp free_seq_.
   mutable std::array<double, kFreeChunks> free_partial_{};
-  mutable std::uint64_t free_dirty_ = ~std::uint64_t{0};
+  mutable std::uint64_t free_seq_ = 0;
 };
 
 }  // namespace vb::host

@@ -61,17 +61,39 @@ double RampDemand::at(double t) const {
 }
 
 void DemandModel::assign(host::VmId vm, std::unique_ptr<DemandProfile> profile) {
-  profiles_[vm] = std::move(profile);
+  if (vm < 0) throw std::invalid_argument("DemandModel::assign: negative id");
+  if (profile == nullptr) {
+    throw std::invalid_argument("DemandModel::assign: null profile");
+  }
+  const auto i = static_cast<std::size_t>(vm);
+  if (i >= profiles_.size()) profiles_.resize(i + 1);
+  if (profiles_[i] == nullptr) ++live_;
+  profiles_[i] = std::move(profile);
+}
+
+void DemandModel::unassign(host::VmId vm) {
+  if (find(vm) == nullptr) return;
+  profiles_[static_cast<std::size_t>(vm)].reset();
+  --live_;
+}
+
+const DemandProfile* DemandModel::find(host::VmId vm) const {
+  if (vm < 0 || static_cast<std::size_t>(vm) >= profiles_.size()) {
+    return nullptr;
+  }
+  return profiles_[static_cast<std::size_t>(vm)].get();
 }
 
 double DemandModel::demand_of(host::VmId vm, double t) const {
-  auto it = profiles_.find(vm);
-  return it == profiles_.end() ? 0.0 : it->second->at(t);
+  const DemandProfile* p = find(vm);
+  return p == nullptr ? 0.0 : p->at(t);
 }
 
 void DemandModel::apply(host::Fleet& fleet, double t) const {
-  for (const auto& [vm, profile] : profiles_) {
-    fleet.set_demand(vm, profile->at(t));
+  for (std::size_t i = 0; i < profiles_.size(); ++i) {
+    if (profiles_[i] != nullptr) {
+      fleet.set_demand(static_cast<host::VmId>(i), profiles_[i]->at(t));
+    }
   }
 }
 

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "hostmodel/host.h"
 
@@ -80,23 +80,33 @@ class RampDemand : public DemandProfile {
 };
 
 /// Maps VMs to profiles and pushes demands into the fleet at a given time.
+///
+/// Profiles sit in a table indexed by VmId: Fleet::create_vm hands out dense
+/// ids and never reuses one, so the table costs 8 B per id up to the largest
+/// id assigned, beside the VM record Fleet already keeps for each.
 class DemandModel {
  public:
+  /// Gives `vm` a profile, replacing any it had.  Throws
+  /// std::invalid_argument for a negative id or a null profile.
   void assign(host::VmId vm, std::unique_ptr<DemandProfile> profile);
   /// Drops a VM's profile (no-op if absent) — lifecycle churn support: a
   /// departed VM must stop generating demand.
-  void unassign(host::VmId vm) { profiles_.erase(vm); }
-  bool has(host::VmId vm) const { return profiles_.contains(vm); }
-  std::size_t size() const { return profiles_.size(); }
+  void unassign(host::VmId vm);
+  bool has(host::VmId vm) const { return find(vm) != nullptr; }
+  std::size_t size() const { return live_; }
 
   /// Demand of one VM at `t` (0 if the VM has no profile).
   double demand_of(host::VmId vm, double t) const;
 
-  /// Writes every profiled VM's demand at time `t` into the fleet.
+  /// Writes every profiled VM's demand at time `t` into the fleet, in
+  /// ascending id order.
   void apply(host::Fleet& fleet, double t) const;
 
  private:
-  std::map<host::VmId, std::unique_ptr<DemandProfile>> profiles_;
+  const DemandProfile* find(host::VmId vm) const;
+
+  std::vector<std::unique_ptr<DemandProfile>> profiles_;  // null: no profile
+  std::size_t live_ = 0;                                  // non-null entries
 };
 
 }  // namespace vb::load

@@ -4,16 +4,20 @@
 // the arena (the regression lock for that rewrite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arena/arena.h"
 #include "baselines/greedy_placement.h"
+#include "ckpt/format.h"
+#include "common/rng.h"
 #include "net/traffic_matrix.h"
 
 namespace vb {
@@ -229,6 +233,388 @@ TEST(GreedyTreePacker, RejectsWhenTheCloudIsFull) {
   auto res = packer.pack(81, host::VmSpec{200, 400});
   EXPECT_FALSE(res.ok);
   EXPECT_TRUE(res.hosts.empty());
+}
+
+// --- tree packer: cached slot counts vs a full scan ------------------------
+
+// The tree packer's plan as computed before it cached slot counts: every
+// call re-derives every host's slot count from the fleet.  It keeps its own
+// uplink ledger and records which level planned the last call in `level`
+// (1 one rack, 2 one pod, 3 cross-pod, 0 rejected).
+class FullScanPacker {
+ public:
+  FullScanPacker(const host::Fleet* fleet, const net::Topology* topo)
+      : fleet_(fleet),
+        topo_(topo),
+        uplink_reserved_(static_cast<std::size_t>(topo->num_links()), 0.0) {}
+
+  baseline::GreedyTreePacker::Result pack(int n_vms, const host::VmSpec& spec);
+
+  void reserve_uplinks(
+      const std::vector<std::pair<net::LinkId, double>>& holds) {
+    for (const auto& [l, mbps] : holds) {
+      uplink_reserved_[static_cast<std::size_t>(l)] += mbps;
+    }
+  }
+  void release_uplinks(
+      const std::vector<std::pair<net::LinkId, double>>& holds) {
+    for (const auto& [l, mbps] : holds) {
+      uplink_reserved_[static_cast<std::size_t>(l)] -= mbps;
+    }
+  }
+  std::uint64_t hosts_examined() const { return hosts_examined_; }
+
+  int level = 0;
+
+ private:
+  static constexpr double kEps = 1e-9;
+
+  double uplink_free(net::LinkId l) const {
+    return topo_->link_capacity_mbps(l) -
+           uplink_reserved_[static_cast<std::size_t>(l)];
+  }
+
+  const host::Fleet* fleet_;
+  const net::Topology* topo_;
+  std::vector<double> uplink_reserved_;
+  std::uint64_t hosts_examined_ = 0;
+};
+
+baseline::GreedyTreePacker::Result FullScanPacker::pack(
+    int n_vms, const host::VmSpec& spec) {
+  baseline::GreedyTreePacker::Result res;
+  level = 0;
+  if (n_vms <= 0) return res;
+  const int n = n_vms;
+  const int nh = fleet_->num_hosts();
+  const int nr = topo_->num_racks();
+  const int np = topo_->num_pods();
+  const double bw = spec.reservation_mbps;
+
+  const double cpu = spec.cpu_reservation;
+  const double ram = spec.ram_mb;
+  const double bw_roomy = (n + 2) * bw;
+  const double cpu_roomy = (n + 2) * cpu;
+  const double ram_roomy = (n + 2) * ram;
+  const int hosts_per_rack = topo_->config().hosts_per_rack;
+  std::vector<int> slots(static_cast<std::size_t>(nh));
+  std::vector<int> rack_slots(static_cast<std::size_t>(nr));
+  for (int r = 0, h = 0; r < nr; ++r) {
+    int pool = 0;
+    for (const int end = h + hosts_per_rack; h < end; ++h) {
+      const host::Host& hh = fleet_->host(h);
+      double s = n;
+      double x = hh.free_reservation_mbps() + kEps;
+      if (bw > 0 && x < bw_roomy) s = std::min(s, std::floor(x / bw));
+      x = hh.cpu_capacity() - hh.reserved_cpu() + kEps;
+      if (cpu > 0 && x < cpu_roomy) s = std::min(s, std::floor(x / cpu));
+      x = hh.mem_capacity_mb() - hh.reserved_mem_mb() + kEps;
+      if (ram > 0 && x < ram_roomy) s = std::min(s, std::floor(x / ram));
+      const int k = std::max(0, static_cast<int>(s));
+      slots[static_cast<std::size_t>(h)] = k;
+      pool += k;
+    }
+    rack_slots[static_cast<std::size_t>(r)] = pool;
+  }
+  res.hosts_examined = static_cast<std::uint64_t>(nh);
+  hosts_examined_ += static_cast<std::uint64_t>(nh);
+
+  auto fill_rack = [&](int r, int m) {
+    int h = topo_->rack_first_host(r);
+    int end = h + hosts_per_rack;
+    for (; h < end && m > 0; ++h) {
+      int take = std::min(slots[static_cast<std::size_t>(h)], m);
+      for (int i = 0; i < take; ++i) res.hosts.push_back(h);
+      m -= take;
+    }
+  };
+
+  int best = -1;
+  for (int r = 0; r < nr; ++r) {
+    if (rack_slots[static_cast<std::size_t>(r)] < n) continue;
+    if (best == -1 || rack_slots[static_cast<std::size_t>(r)] <
+                          rack_slots[static_cast<std::size_t>(best)]) {
+      best = r;
+    }
+  }
+  if (best != -1) {
+    fill_rack(best, n);
+    res.ok = true;
+    level = 1;
+    return res;
+  }
+
+  auto plan_racks = [&](std::vector<int> racks,
+                        int need) -> std::vector<std::pair<int, int>> {
+    std::sort(racks.begin(), racks.end(), [&](int a, int b) {
+      int sa = rack_slots[static_cast<std::size_t>(a)];
+      int sb = rack_slots[static_cast<std::size_t>(b)];
+      if (sa != sb) return sa > sb;
+      return a < b;
+    });
+    std::vector<std::pair<int, int>> out;
+    for (int r : racks) {
+      if (need == 0) break;
+      int m = std::min(rack_slots[static_cast<std::size_t>(r)], need);
+      if (m == 0) continue;
+      double uplink = std::min(m, n - m) * bw;
+      if (uplink > uplink_free(topo_->tor_up(r)) + kEps) continue;
+      out.emplace_back(r, m);
+      need -= m;
+    }
+    if (need != 0) out.clear();
+    return out;
+  };
+
+  auto commit_racks = [&](const std::vector<std::pair<int, int>>& plan) {
+    for (const auto& [r, m] : plan) {
+      double uplink = std::min(m, n - m) * bw;
+      if (uplink > 0) res.uplink_holds.emplace_back(topo_->tor_up(r), uplink);
+      fill_rack(r, m);
+    }
+  };
+
+  const int racks_per_pod = topo_->config().racks_per_pod;
+  std::vector<int> pod_slots(static_cast<std::size_t>(np), 0);
+  for (int r = 0; r < nr; ++r) {
+    pod_slots[static_cast<std::size_t>(r / racks_per_pod)] +=
+        rack_slots[static_cast<std::size_t>(r)];
+  }
+
+  std::vector<int> pods;
+  for (int p = 0; p < np; ++p) {
+    if (pod_slots[static_cast<std::size_t>(p)] >= n) pods.push_back(p);
+  }
+  std::sort(pods.begin(), pods.end(), [&](int a, int b) {
+    int sa = pod_slots[static_cast<std::size_t>(a)];
+    int sb = pod_slots[static_cast<std::size_t>(b)];
+    if (sa != sb) return sa < sb;
+    return a < b;
+  });
+  for (int p : pods) {
+    std::vector<int> racks;
+    for (int r = p * racks_per_pod; r < (p + 1) * racks_per_pod; ++r) {
+      racks.push_back(r);
+    }
+    auto plan = plan_racks(racks, n);
+    if (!plan.empty()) {
+      commit_racks(plan);
+      res.ok = true;
+      level = 2;
+      return res;
+    }
+  }
+
+  std::vector<int> all_pods(static_cast<std::size_t>(np));
+  for (int p = 0; p < np; ++p) all_pods[static_cast<std::size_t>(p)] = p;
+  std::sort(all_pods.begin(), all_pods.end(), [&](int a, int b) {
+    int sa = pod_slots[static_cast<std::size_t>(a)];
+    int sb = pod_slots[static_cast<std::size_t>(b)];
+    if (sa != sb) return sa > sb;
+    return a < b;
+  });
+  std::vector<std::pair<int, int>> pod_plan;
+  int need = n;
+  for (int p : all_pods) {
+    if (need == 0) break;
+    int m = std::min(pod_slots[static_cast<std::size_t>(p)], need);
+    if (m == 0) continue;
+    double agg = std::min(m, n - m) * bw;
+    if (agg > uplink_free(topo_->agg_up(p)) + kEps) continue;
+    pod_plan.emplace_back(p, m);
+    need -= m;
+  }
+  if (need != 0) return res;
+
+  std::vector<std::pair<int, int>> rack_plan;
+  for (const auto& [p, m] : pod_plan) {
+    std::vector<int> racks;
+    for (int r = p * racks_per_pod; r < (p + 1) * racks_per_pod; ++r) {
+      racks.push_back(r);
+    }
+    auto plan = plan_racks(racks, m);
+    if (plan.empty()) return res;
+    rack_plan.insert(rack_plan.end(), plan.begin(), plan.end());
+  }
+  for (const auto& [p, m] : pod_plan) {
+    double agg = std::min(m, n - m) * bw;
+    if (agg > 0) res.uplink_holds.emplace_back(topo_->agg_up(p), agg);
+  }
+  commit_racks(rack_plan);
+  res.ok = true;
+  level = 3;
+  return res;
+}
+
+// Random bundles and churn through every Fleet reservation mutator, plus
+// demand updates and an in-place checkpoint restore of an older image: the
+// cached packer must plan exactly what the full scan plans, on every call.
+TEST(GreedyTreePackerProperty, MatchesFullScanUnderChurn) {
+  net::TopologyConfig tc;
+  tc.num_pods = 2;
+  tc.racks_per_pod = 4;
+  tc.hosts_per_rack = 5;  // 40 hosts
+  tc.host_nic_mbps = 1000.0;
+  tc.tor_oversubscription = 2.0;  // 2500 Mbps ToR uplinks: spreads can block
+  const net::Topology topo(tc);
+  // Finite CPU and memory, so every resource binds for some spec.
+  host::Fleet fleet(topo.num_hosts(), tc.host_nic_mbps, /*cpu_capacity=*/16.0,
+                    /*mem_capacity_mb=*/8192.0);
+  baseline::GreedyTreePacker packer(&fleet, &topo);
+  FullScanPacker ref(&fleet, &topo);
+
+  // Bandwidth binds for the first two specs, CPU for the third and memory
+  // for the fourth, which shares the first's bandwidth.  1000/12 Mbps is not
+  // a double: reserving and releasing it leaves residue on hosts' totals.
+  const std::vector<host::VmSpec> menu = {
+      {.reservation_mbps = 100.0, .limit_mbps = 200.0, .ram_mb = 512.0},
+      {.reservation_mbps = 1000.0 / 12, .limit_mbps = 100.0, .ram_mb = 256.0},
+      {.reservation_mbps = 50.0,
+       .limit_mbps = 100.0,
+       .ram_mb = 1024.0,
+       .cpu_reservation = 4.0,
+       .cpu_limit = 8.0},
+      {.reservation_mbps = 100.0, .limit_mbps = 200.0, .ram_mb = 1536.0},
+  };
+
+  struct Bundle {
+    std::vector<host::VmId> vms;  // not yet destroyed
+    std::vector<std::pair<net::LinkId, double>> holds;
+  };
+  std::vector<Bundle> bundles;
+  std::vector<std::pair<int, host::VmSpec>> holds;  // outstanding hold_all()s
+  std::vector<std::uint8_t> image;                  // fleet checkpoint
+  std::vector<Bundle> saved_bundles;
+  std::vector<std::pair<int, host::VmSpec>> saved_holds;
+
+  Rng rng(2024);
+  auto random_host = [&] {
+    return static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(topo.num_hosts())));
+  };
+  auto other_host = [&](int h) {
+    int d = random_host();
+    return d == h ? (d + 1) % topo.num_hosts() : d;
+  };
+  // A random live VM as (bundle, index), or {-1, -1} if there is none.
+  auto random_vm = [&]() -> std::pair<int, int> {
+    if (bundles.empty()) return {-1, -1};
+    int b = static_cast<int>(rng.index(bundles.size()));
+    if (bundles[static_cast<std::size_t>(b)].vms.empty()) return {-1, -1};
+    return {b, static_cast<int>(
+                   rng.index(bundles[static_cast<std::size_t>(b)].vms.size()))};
+  };
+  auto both_ledgers = [&](const Bundle& b, bool reserve) {
+    if (reserve) {
+      packer.reserve_uplinks(b.holds);
+      ref.reserve_uplinks(b.holds);
+    } else {
+      packer.release_uplinks(b.holds);
+      ref.release_uplinks(b.holds);
+    }
+  };
+
+  int levels[4] = {0, 0, 0, 0};  // rejected, rack, pod, cross-pod
+  const int kSteps = 4000;
+  for (int step = 0; step < kSteps; ++step) {
+    if (step % 500 == 100) {
+      ckpt::Writer w;
+      fleet.ckpt_save(w);
+      image = w.finish();
+      saved_bundles = bundles;
+      saved_holds = holds;
+    }
+    if (step % 500 == 400) {
+      // Roll the fleet back 300 steps in place; the ledgers follow.
+      for (const Bundle& b : bundles) both_ledgers(b, false);
+      ckpt::Reader r(image);
+      fleet.ckpt_restore(r);
+      bundles = saved_bundles;
+      holds = saved_holds;
+      for (const Bundle& b : bundles) both_ledgers(b, true);
+    }
+    const std::uint64_t op = rng.next_below(16);
+    if (op < 6) {
+      const int n = 1 + static_cast<int>(rng.next_below(40));
+      const host::VmSpec& spec = menu[rng.index(menu.size())];
+      baseline::GreedyTreePacker::Result got = packer.pack(n, spec);
+      baseline::GreedyTreePacker::Result want = ref.pack(n, spec);
+      ASSERT_EQ(got.ok, want.ok) << "step " << step << " n=" << n;
+      ASSERT_EQ(got.hosts, want.hosts) << "step " << step << " n=" << n;
+      ASSERT_EQ(got.uplink_holds, want.uplink_holds) << "step " << step;
+      ASSERT_EQ(got.hosts_examined, want.hosts_examined) << "step " << step;
+      ++levels[ref.level];
+      if (!got.ok) continue;
+      Bundle b;
+      b.holds = got.uplink_holds;
+      for (int h : got.hosts) {
+        host::VmId v = fleet.create_vm(0, spec);
+        b.vms.push_back(v);
+        // A plan can exceed a host by float residue below kEps.
+        if (!fleet.place(v, h)) break;
+      }
+      if (fleet.vm(b.vms.back()).host == -1) {
+        for (host::VmId v : b.vms) fleet.destroy_vm(v);
+        continue;
+      }
+      both_ledgers(b, true);
+      bundles.push_back(std::move(b));
+    } else if (op < 8) {
+      if (bundles.empty()) continue;
+      // The bundle departs.
+      std::size_t i = rng.index(bundles.size());
+      for (host::VmId v : bundles[i].vms) fleet.destroy_vm(v);
+      both_ledgers(bundles[i], false);
+      bundles[i] = std::move(bundles.back());
+      bundles.pop_back();
+    } else if (op == 8) {
+      auto [b, i] = random_vm();
+      if (b < 0) continue;
+      host::VmId v = bundles[static_cast<std::size_t>(b)]
+                         .vms[static_cast<std::size_t>(i)];
+      if (fleet.vm(v).host == -1) {
+        (void)fleet.place(v, random_host());
+      } else {
+        fleet.unplace(v);
+      }
+    } else if (op == 9 || op == 10) {
+      auto [b, i] = random_vm();
+      if (b < 0) continue;
+      host::VmId v = bundles[static_cast<std::size_t>(b)]
+                         .vms[static_cast<std::size_t>(i)];
+      if (fleet.vm(v).host == -1) continue;
+      int dst = other_host(fleet.vm(v).host);
+      bool consume = op == 10;
+      if (consume) fleet.hold_all(dst, fleet.vm(v).spec);
+      fleet.migrate(v, dst, consume);
+    } else if (op == 11) {
+      holds.emplace_back(random_host(), menu[rng.index(menu.size())]);
+      fleet.hold_all(holds.back().first, holds.back().second);
+    } else if (op == 12) {
+      if (holds.empty()) continue;
+      std::size_t i = rng.index(holds.size());
+      fleet.release_hold_all(holds[i].first, holds[i].second);
+      holds[i] = holds.back();
+      holds.pop_back();
+    } else if (op == 13) {
+      auto [b, i] = random_vm();
+      if (b < 0) continue;
+      std::vector<host::VmId>& vms = bundles[static_cast<std::size_t>(b)].vms;
+      fleet.destroy_vm(vms[static_cast<std::size_t>(i)]);
+      vms.erase(vms.begin() + i);
+    } else {
+      auto [b, i] = random_vm();
+      if (b < 0) continue;
+      fleet.set_demand(
+          bundles[static_cast<std::size_t>(b)].vms[static_cast<std::size_t>(i)],
+          rng.uniform(0.0, 300.0));
+    }
+  }
+  EXPECT_EQ(packer.hosts_examined(), ref.hosts_examined());
+  EXPECT_GT(levels[1], 0) << "no single-rack plan";
+  EXPECT_GT(levels[2], 0) << "no single-pod plan";
+  EXPECT_GT(levels[3], 0) << "no cross-pod plan";
+  EXPECT_GT(levels[0], 0) << "no rejection";
 }
 
 // --- fragmentation metric --------------------------------------------------

@@ -3,6 +3,7 @@
 // free-capacity total).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -293,11 +294,21 @@ bool total_matches_fold(const Fleet& f) {
          bits(chunked_fold(f.free_reservation_snapshot()));
 }
 
+// Hosts Fleet::for_each_host_changed_since(seq) visits, in visiting order.
+std::vector<int> changed_since(const Fleet& f, std::uint64_t seq) {
+  std::vector<int> out;
+  f.for_each_host_changed_since(seq, [&](int h) { out.push_back(h); });
+  return out;
+}
+
 class FreeTotalProperty : public ::testing::TestWithParam<int> {};
 
 // Random reservation churn through every Fleet mutator, with the cached
-// total checked after each step.  37 hosts leave some chunks empty; 1000 is
-// not a multiple of 64, so chunks differ in size.
+// total checked after each step, and the change stamps too: the hosts
+// visited since the stamp before a step include every host the step changed,
+// and a step that changes no reservation (a failed place, a demand update)
+// advances nothing.  37 hosts leave some chunks empty; 1000 is not a
+// multiple of 64, so chunks differ in size.
 TEST_P(FreeTotalProperty, BitIdenticalToChunkedFoldUnderChurn) {
   const int n = GetParam();
   Rng rng(1000 + static_cast<std::uint64_t>(n));
@@ -329,41 +340,69 @@ TEST_P(FreeTotalProperty, BitIdenticalToChunkedFoldUnderChurn) {
   };
 
   ASSERT_TRUE(total_matches_fold(f)) << "fresh fleet";
+  ASSERT_EQ(changed_since(f, 0).size(), static_cast<std::size_t>(n));
+  int failed_places = 0;
   const int kSteps = 3000;
   for (int step = 0; step < kSteps; ++step) {
     if (step == kSteps / 2) {
       // Restore into a fresh fleet whose cache already holds the all-free
-      // total: restore must invalidate every chunk.
+      // total: restore must invalidate every chunk and stamp every host.
       ckpt::Writer w;
       f.ckpt_save(w);
       std::vector<std::uint8_t> image = w.finish();
       Fleet restored(n, 1000.0);
       ASSERT_TRUE(total_matches_fold(restored));
+      const std::uint64_t pre = restored.reservation_seq();
+      ASSERT_TRUE(changed_since(restored, pre).empty());
       ckpt::Reader r(image);
       restored.ckpt_restore(r);
+      std::vector<int> visited = changed_since(restored, pre);
+      ASSERT_EQ(visited.size(), static_cast<std::size_t>(n));
+      for (int h = 0; h < n; ++h) {
+        ASSERT_EQ(visited[static_cast<std::size_t>(h)], h);
+      }
       ASSERT_EQ(bits(restored.free_reservation_total()),
                 bits(f.free_reservation_total()));
       f = std::move(restored);
     }
+    const std::uint64_t before = f.reservation_seq();
+    std::vector<int> mutated;  // hosts whose reservations this step changed
     const char* op = "";
-    switch (rng.next_below(8)) {
+    switch (rng.next_below(9)) {
       case 0: {
         op = "create+place";
-        VmId v = f.create_vm(0, random_spec());
-        (f.place(v, random_host()) ? placed : unplaced).push_back(v);
+        // One VM in ten can never be admitted, so failed places occur.
+        VmId v = f.create_vm(0, rng.chance(0.1) ? VmSpec{1500, 1500}
+                                                : random_spec());
+        int h = random_host();
+        if (f.place(v, h)) {
+          placed.push_back(v);
+          mutated.push_back(h);
+        } else {
+          unplaced.push_back(v);
+          ++failed_places;
+        }
         break;
       }
       case 1: {
         if (unplaced.empty()) continue;
         op = "place";
         VmId v = take(unplaced);
-        (f.place(v, random_host()) ? placed : unplaced).push_back(v);
+        int h = random_host();
+        if (f.place(v, h)) {
+          placed.push_back(v);
+          mutated.push_back(h);
+        } else {
+          unplaced.push_back(v);
+          ++failed_places;
+        }
         break;
       }
       case 2: {
         if (placed.empty()) continue;
         op = "unplace";
         VmId v = take(placed);
+        mutated.push_back(f.vm(v).host);
         f.unplace(v);
         unplaced.push_back(v);
         break;
@@ -372,7 +411,9 @@ TEST_P(FreeTotalProperty, BitIdenticalToChunkedFoldUnderChurn) {
         if (placed.empty()) continue;
         op = "migrate";
         VmId v = placed[rng.index(placed.size())];
-        f.migrate(v, other_host(f.vm(v).host), /*consume_hold=*/false);
+        int dst = other_host(f.vm(v).host);
+        mutated = {f.vm(v).host, dst};
+        f.migrate(v, dst, /*consume_hold=*/false);
         break;
       }
       case 4: {
@@ -380,6 +421,7 @@ TEST_P(FreeTotalProperty, BitIdenticalToChunkedFoldUnderChurn) {
         op = "hold_all+migrate(consume_hold)";
         VmId v = placed[rng.index(placed.size())];
         int dst = other_host(f.vm(v).host);
+        mutated = {f.vm(v).host, dst};
         f.hold_all(dst, f.vm(v).spec);
         ASSERT_TRUE(total_matches_fold(f)) << "n=" << n << " step " << step;
         f.migrate(v, dst, /*consume_hold=*/true);
@@ -390,29 +432,50 @@ TEST_P(FreeTotalProperty, BitIdenticalToChunkedFoldUnderChurn) {
         op = "destroy";
         bool pick_unplaced =
             placed.empty() || (!unplaced.empty() && rng.chance(0.3));
-        f.destroy_vm(take(pick_unplaced ? unplaced : placed));
+        VmId v = take(pick_unplaced ? unplaced : placed);
+        if (f.vm(v).host != -1) mutated.push_back(f.vm(v).host);
+        f.destroy_vm(v);
         break;
       }
       case 6: {
         op = "hold_all";
         holds.emplace_back(random_host(), random_spec());
+        mutated.push_back(holds.back().first);
         f.hold_all(holds.back().first, holds.back().second);
         break;
       }
-      default: {
+      case 7: {
         if (holds.empty()) continue;
         op = "release_hold_all";
         std::size_t i = rng.index(holds.size());
+        mutated.push_back(holds[i].first);
         f.release_hold_all(holds[i].first, holds[i].second);
         holds[i] = holds.back();
         holds.pop_back();
         break;
       }
+      default: {
+        if (placed.empty()) continue;
+        op = "set_demand";
+        f.set_demand(placed[rng.index(placed.size())], rng.uniform(0, 300));
+        break;
+      }
     }
     ASSERT_TRUE(total_matches_fold(f))
         << "n=" << n << " step " << step << " after " << op;
+    std::vector<int> visited = changed_since(f, before);
+    if (mutated.empty()) {
+      ASSERT_EQ(f.reservation_seq(), before) << "step " << step << " " << op;
+      ASSERT_TRUE(visited.empty()) << "step " << step << " " << op;
+    }
+    ASSERT_TRUE(std::is_sorted(visited.begin(), visited.end()));
+    for (int h : mutated) {
+      ASSERT_TRUE(std::binary_search(visited.begin(), visited.end(), h))
+          << "n=" << n << " step " << step << " " << op << " host " << h;
+    }
   }
   EXPECT_FALSE(placed.empty());
+  EXPECT_GT(failed_places, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(HostCounts, FreeTotalProperty,

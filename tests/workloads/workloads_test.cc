@@ -1,6 +1,10 @@
 // Demand profiles, the SIPp call model, iperf pairs, and scenario builders.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <vector>
+
 #include "common/stats.h"
 #include "workloads/demand.h"
 #include "workloads/iperf_model.h"
@@ -90,6 +94,65 @@ TEST(DemandModel, AppliesToFleet) {
   EXPECT_DOUBLE_EQ(m.demand_of(999, 3.0), 0.0);
   EXPECT_TRUE(m.has(a));
   EXPECT_FALSE(m.has(999));
+}
+
+// The profile table: ids assigned out of order, a profile replaced, drops of
+// absent ids as no-ops, and a negative id or a null profile refused.
+TEST(DemandModel, TableAssignsReplacesAndDrops) {
+  host::Fleet f(2, 1000.0);
+  std::vector<host::VmId> v;
+  for (int i = 0; i < 5; ++i) {
+    v.push_back(f.create_vm(0, host::VmSpec{100, 500}));
+    ASSERT_TRUE(f.place(v.back(), i % 2));
+    f.set_demand(v.back(), 7.0);
+  }
+  DemandModel m;
+  EXPECT_EQ(m.size(), 0u);
+  m.assign(v[3], std::make_unique<ConstantDemand>(30.0));
+  m.assign(v[1], std::make_unique<ConstantDemand>(10.0));
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_TRUE(m.has(v[1]));
+  EXPECT_TRUE(m.has(v[3]));
+  EXPECT_FALSE(m.has(v[0]));
+  EXPECT_FALSE(m.has(v[2]));  // inside the table, no profile
+  EXPECT_FALSE(m.has(v[4]));  // past the end of the table
+  EXPECT_FALSE(m.has(-1));
+
+  m.assign(v[3], std::make_unique<ConstantDemand>(33.0));
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_DOUBLE_EQ(m.demand_of(v[3], 0.0), 33.0);
+  EXPECT_DOUBLE_EQ(m.demand_of(v[1], 5.0), 10.0);
+  EXPECT_DOUBLE_EQ(m.demand_of(v[2], 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(m.demand_of(v[4], 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(m.demand_of(-1, 0.0), 0.0);
+
+  m.unassign(v[2]);
+  m.unassign(v[4]);
+  m.unassign(1000);
+  m.unassign(-1);
+  EXPECT_EQ(m.size(), 2u);
+
+  // apply() sets only the profiled VMs' demand.
+  m.apply(f, 0.0);
+  EXPECT_DOUBLE_EQ(f.vm(v[0]).demand_mbps, 7.0);
+  EXPECT_DOUBLE_EQ(f.vm(v[1]).demand_mbps, 10.0);
+  EXPECT_DOUBLE_EQ(f.vm(v[2]).demand_mbps, 7.0);
+  EXPECT_DOUBLE_EQ(f.vm(v[3]).demand_mbps, 33.0);
+  EXPECT_DOUBLE_EQ(f.vm(v[4]).demand_mbps, 7.0);
+
+  m.unassign(v[1]);
+  m.unassign(v[1]);
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_FALSE(m.has(v[1]));
+  f.set_demand(v[1], 7.0);
+  m.apply(f, 0.0);
+  EXPECT_DOUBLE_EQ(f.vm(v[1]).demand_mbps, 7.0);
+
+  EXPECT_THROW(m.assign(-1, std::make_unique<ConstantDemand>(1.0)),
+               std::invalid_argument);
+  EXPECT_THROW(m.assign(v[0], nullptr), std::invalid_argument);
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_FALSE(m.has(v[0]));
 }
 
 TEST(Sip, RateRampMatchesPaper) {
