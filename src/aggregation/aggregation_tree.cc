@@ -203,47 +203,25 @@ void AggregationAgent::on_parent_changed(scribe::ScribeNode& self,
   (void)group;  // next propagate() naturally uses the new parent
 }
 
-void AggregationAgent::ckpt_save(ckpt::Writer& w) const {
-  w.begin_section("agg");
-  w.u32(static_cast<std::uint32_t>(topics_.size()));
-  for (const auto& [topic, mgr] : topics_) {
-    w.u128(topic);
-    mgr.ckpt_save(w);
-  }
-  w.u32(static_cast<std::uint32_t>(pending_since_.size()));
-  for (const auto& [topic, t] : pending_since_) {
-    w.u128(topic);
-    w.f64(t);
-  }
-  w.u32(static_cast<std::uint32_t>(pending_trace_.size()));
-  for (const auto& [topic, id] : pending_trace_) {
-    w.u128(topic);
-    w.u64(id);
-  }
-  w.end_section();
+template <class IO>
+void AggregationAgent::ckpt_io(IO& io) {
+  io.section("agg", [&] {
+    io.map(topics_, [&](TopicId& topic, TopicManager& mgr) {
+      io.u128(topic);
+      mgr.ckpt_io(io);
+    });
+    io.map(pending_since_, [&](TopicId& topic, sim::SimTime& t) {
+      io.u128(topic);
+      io.f64(t);
+    });
+    io.map(pending_trace_, [&](TopicId& topic, std::uint64_t& id) {
+      io.u128(topic);
+      io.u64(id);
+    });
+  });
 }
 
-void AggregationAgent::ckpt_restore(ckpt::Reader& r) {
-  r.enter_section("agg");
-  topics_.clear();
-  std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    TopicId topic = r.u128();
-    topics_[topic].ckpt_restore(r);
-  }
-  pending_since_.clear();
-  n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    TopicId topic = r.u128();
-    pending_since_[topic] = r.f64();
-  }
-  pending_trace_.clear();
-  n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    TopicId topic = r.u128();
-    pending_trace_[topic] = r.u64();
-  }
-  r.exit_section();
-}
+template void AggregationAgent::ckpt_io(ckpt::Writer&);
+template void AggregationAgent::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::agg

@@ -91,10 +91,10 @@ class AggregationAgent : public pastry::PastryApp, public scribe::ScribeApp {
   scribe::ScribeNode& scribe() { return *scribe_; }
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  /// Serializes the topic information bases and the pending-update
-  /// bookkeeping (no timers: periodic ticks are owned by the driver).
-  void ckpt_save(ckpt::Writer& w) const;
-  void ckpt_restore(ckpt::Reader& r);
+  /// The topic information bases and the pending-update bookkeeping (no
+  /// timers: the periodic ticks that call tick() belong to the cloud).
+  template <class IO>
+  void ckpt_io(IO& io);
 
   // --- PastryApp ---------------------------------------------------------
   void deliver(pastry::PastryNode& self, const pastry::RouteMsg& msg) override;

@@ -26,9 +26,19 @@ struct AggValue {
   static AggValue zero() { return AggValue{}; }
 
   double avg() const { return count ? sum / static_cast<double>(count) : 0.0; }
+
   bool empty() const { return count == 0; }
 
   friend bool operator==(const AggValue&, const AggValue&) = default;
+
+  /// Checkpoint layout (src/ckpt): sum, min, max, count.
+  template <class IO>
+  void ckpt_io(IO& io) {
+    io.f64(sum);
+    io.f64(min);
+    io.f64(max);
+    io.u64(count);
+  }
 };
 
 /// Combines two aggregates (associative, commutative, with zero() identity).

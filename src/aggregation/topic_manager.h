@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "aggregation/reduce.h"
-#include "ckpt/format.h"
 #include "common/u128.h"
 #include "sim/event_queue.h"
 
@@ -52,44 +51,17 @@ class TopicManager {
   sim::SimTime global_time() const { return global_time_; }
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  static void put_value(ckpt::Writer& w, const AggValue& v) {
-    w.f64(v.sum);
-    w.f64(v.min);
-    w.f64(v.max);
-    w.u64(v.count);
-  }
-  static AggValue get_value(ckpt::Reader& r) {
-    AggValue v;
-    v.sum = r.f64();
-    v.min = r.f64();
-    v.max = r.f64();
-    v.count = r.u64();
-    return v;
-  }
-  void ckpt_save(ckpt::Writer& w) const {
-    put_value(w, local_);
-    w.boolean(has_local_);
-    put_value(w, global_);
-    w.boolean(has_global_);
-    w.f64(global_time_);
-    w.u32(static_cast<std::uint32_t>(children_.size()));
-    for (const auto& [child, v] : children_) {
-      w.u128(child);
-      put_value(w, v);
-    }
-  }
-  void ckpt_restore(ckpt::Reader& r) {
-    local_ = get_value(r);
-    has_local_ = r.boolean();
-    global_ = get_value(r);
-    has_global_ = r.boolean();
-    global_time_ = r.f64();
-    children_.clear();
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      U128 child = r.u128();
-      children_[child] = get_value(r);
-    }
+  template <class IO>
+  void ckpt_io(IO& io) {
+    local_.ckpt_io(io);
+    io.boolean(has_local_);
+    global_.ckpt_io(io);
+    io.boolean(has_global_);
+    io.f64(global_time_);
+    io.map(children_, [&](U128& child, AggValue& v) {
+      io.u128(child);
+      v.ckpt_io(io);
+    });
   }
 
  private:

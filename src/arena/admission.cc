@@ -149,174 +149,103 @@ std::uint64_t AdmissionController::slo_violations() const {
   return total;
 }
 
-void AdmissionController::ckpt_save(ckpt::Writer& w) const {
-  w.begin_section("arena_admission");
-
-  w.begin_section("stats");
-  w.u64(stats_.offered);
-  w.u64(stats_.accepted);
-  w.u64(stats_.rejected_capacity);
-  w.u64(stats_.rejected_cost);
-  w.u64(stats_.vms_accepted);
-  w.u64(stats_.hosts_probed);
-  w.f64(stats_.revenue);
-  w.f64(stats_.offered_revenue);
-  w.u64(stats_.decision_fingerprint);
-  w.end_section();
-
-  // Customers in registration (= CustomerId) order, so restore re-adds them
-  // exactly as the original run did and the cloud image's verification of
-  // customer keys passes.
-  std::vector<std::string> by_id(customer_ids_.size());
-  for (const auto& [name, id] : customer_ids_) {
-    by_id.at(static_cast<std::size_t>(id)) = name;
-  }
-  w.begin_section("customers");
-  w.u32(static_cast<std::uint32_t>(by_id.size()));
-  for (const std::string& name : by_id) w.str(name);
-  w.end_section();
-
-  w.begin_section("tenants");
-  w.u32(static_cast<std::uint32_t>(tenants_.size()));
-  for (const auto& [name, ts] : tenants_) {
-    w.str(name);
-    w.u64(ts.offered);
-    w.u64(ts.accepted);
-    w.u64(ts.consecutive_rejects);
-    w.u64(ts.slo_violations);
-  }
-  w.end_section();
-
-  w.begin_section("active");
-  w.u32(static_cast<std::uint32_t>(active_.size()));
-  for (const auto& [id, b] : active_) {
-    w.u64(b.request_id);
-    w.i64(b.customer);
-    w.str(b.tenant);
-    w.f64(b.depart_s);
-    w.f64(b.revenue);
-    w.i64(b.n_vms);
-    b.shape.ckpt_save(w);
-    w.u32(static_cast<std::uint32_t>(b.outcome.vms.size()));
-    for (host::VmId v : b.outcome.vms) w.i64(v);
-    w.u32(static_cast<std::uint32_t>(b.outcome.uplink_holds.size()));
-    for (const auto& [link, mbps] : b.outcome.uplink_holds) {
-      w.i64(link);
-      w.f64(mbps);
+template <class IO>
+void AdmissionController::ckpt_io(IO& io) {
+  io.loading([&] {
+    if (cloud_->num_customers() != 0 || !active_.empty()) {
+      throw ckpt::CkptError(
+          "arena_admission: restore requires a fresh cloud/controller");
     }
-  }
-  w.end_section();
+  });
+  io.section("arena_admission", [&] {
+    io.section("stats", [&] {
+      io.u64(stats_.offered);
+      io.u64(stats_.accepted);
+      io.u64(stats_.rejected_capacity);
+      io.u64(stats_.rejected_cost);
+      io.u64(stats_.vms_accepted);
+      io.u64(stats_.hosts_probed);
+      io.f64(stats_.revenue);
+      io.f64(stats_.offered_revenue);
+      io.u64(stats_.decision_fingerprint);
+    });
 
-  w.begin_section("placed");
-  w.u32(static_cast<std::uint32_t>(placed_.size()));
-  for (const auto& [tenant, vms] : placed_) {
-    w.str(tenant);
-    w.u32(static_cast<std::uint32_t>(vms.size()));
-    for (host::VmId v : vms) w.i64(v);
-  }
-  w.end_section();
+    // Customers in registration (= CustomerId) order, so restore re-adds
+    // them exactly as the original run did and the cloud image's
+    // verification of customer keys passes.
+    std::vector<std::string> by_id(customer_ids_.size());
+    for (const auto& [name, id] : customer_ids_) {
+      by_id.at(static_cast<std::size_t>(id)) = name;
+    }
+    io.section("customers", [&] {
+      // During each restore step by_id holds the names read before it.
+      io.seq(by_id, [&](std::string& name) {
+        io.str(name);
+        io.loading([&] {
+          host::CustomerId c = cloud_->add_customer(name);
+          if (c != static_cast<host::CustomerId>(by_id.size())) {
+            throw ckpt::CkptError(
+                "arena_admission: customer id drift on restore");
+          }
+          customer_ids_.emplace(name, c);
+        });
+      });
+    });
 
-  w.end_section();
+    io.section("tenants", [&] {
+      io.map(tenants_, [&](std::string& name, TenantStats& ts) {
+        io.str(name);
+        io.u64(ts.offered);
+        io.u64(ts.accepted);
+        io.u64(ts.consecutive_rejects);
+        io.u64(ts.slo_violations);
+      });
+    });
+
+    io.section("active", [&] {
+      io.map(active_, [&](std::uint64_t& id, ActiveBundle& b) {
+        io.u64(b.request_id);
+        io.i64(b.customer);
+        io.str(b.tenant);
+        io.f64(b.depart_s);
+        io.f64(b.revenue);
+        io.i64(b.n_vms);
+        b.shape.ckpt_io(io);
+        io.seq(b.outcome.vms, [&](host::VmId& v) { io.i64(v); });
+        io.seq(b.outcome.uplink_holds,
+               [&](std::pair<net::LinkId, double>& hold) {
+                 io.i64(hold.first);
+                 io.f64(hold.second);
+               });
+        io.loading([&] {
+          id = b.request_id;
+          b.outcome.ok = true;
+          // Rebuild the externally-held state the cloud image doesn't
+          // carry: demand profiles (deterministic from the shape) and
+          // uplink ledgers.
+          if (demand_ != nullptr && b.shape.kind != ProfileKind::kNone) {
+            for (std::size_t v = 0; v < b.outcome.vms.size(); ++v) {
+              demand_->assign(b.outcome.vms[v],
+                              make_vm_profile(b.shape, static_cast<int>(v),
+                                              b.n_vms));
+            }
+          }
+          embedder_->reacquire(b.outcome);
+          departures_.emplace(b.depart_s, b.request_id);
+        });
+      });
+    });
+
+    io.section("placed", [&] {
+      io.map(placed_, [&](std::string& tenant, std::vector<host::VmId>& vms) {
+        io.str(tenant);
+        io.seq(vms, [&](host::VmId& v) { io.i64(v); });
+      });
+    });
+  });
 }
 
-void AdmissionController::ckpt_restore(ckpt::Reader& r) {
-  if (cloud_->num_customers() != 0 || !active_.empty()) {
-    throw ckpt::CkptError(
-        "arena_admission: restore requires a fresh cloud/controller");
-  }
-  r.enter_section("arena_admission");
-
-  r.enter_section("stats");
-  stats_.offered = r.u64();
-  stats_.accepted = r.u64();
-  stats_.rejected_capacity = r.u64();
-  stats_.rejected_cost = r.u64();
-  stats_.vms_accepted = r.u64();
-  stats_.hosts_probed = r.u64();
-  stats_.revenue = r.f64();
-  stats_.offered_revenue = r.f64();
-  stats_.decision_fingerprint = r.u64();
-  r.exit_section();
-
-  r.enter_section("customers");
-  std::uint32_t nc = r.u32();
-  for (std::uint32_t i = 0; i < nc; ++i) {
-    std::string name = r.str();
-    host::CustomerId c = cloud_->add_customer(name);
-    if (c != static_cast<host::CustomerId>(i)) {
-      throw ckpt::CkptError("arena_admission: customer id drift on restore");
-    }
-    customer_ids_.emplace(std::move(name), c);
-  }
-  r.exit_section();
-
-  r.enter_section("tenants");
-  std::uint32_t nt = r.u32();
-  for (std::uint32_t i = 0; i < nt; ++i) {
-    std::string name = r.str();
-    TenantStats ts;
-    ts.offered = r.u64();
-    ts.accepted = r.u64();
-    ts.consecutive_rejects = r.u64();
-    ts.slo_violations = r.u64();
-    tenants_.emplace(std::move(name), ts);
-  }
-  r.exit_section();
-
-  r.enter_section("active");
-  std::uint32_t na = r.u32();
-  for (std::uint32_t i = 0; i < na; ++i) {
-    ActiveBundle b;
-    b.request_id = r.u64();
-    b.customer = static_cast<host::CustomerId>(r.i64());
-    b.tenant = r.str();
-    b.depart_s = r.f64();
-    b.revenue = r.f64();
-    b.n_vms = static_cast<int>(r.i64());
-    b.shape.ckpt_restore(r);
-    b.outcome.ok = true;
-    std::uint32_t nv = r.u32();
-    b.outcome.vms.reserve(nv);
-    for (std::uint32_t v = 0; v < nv; ++v) {
-      b.outcome.vms.push_back(static_cast<host::VmId>(r.i64()));
-    }
-    std::uint32_t nu = r.u32();
-    b.outcome.uplink_holds.reserve(nu);
-    for (std::uint32_t u = 0; u < nu; ++u) {
-      net::LinkId link = static_cast<net::LinkId>(r.i64());
-      double mbps = r.f64();
-      b.outcome.uplink_holds.emplace_back(link, mbps);
-    }
-    // Rebuild the externally-held state the cloud image doesn't carry:
-    // demand profiles (deterministic from the shape) and uplink ledgers.
-    if (demand_ != nullptr && b.shape.kind != ProfileKind::kNone) {
-      for (std::size_t v = 0; v < b.outcome.vms.size(); ++v) {
-        demand_->assign(b.outcome.vms[v],
-                        make_vm_profile(b.shape, static_cast<int>(v),
-                                        b.n_vms));
-      }
-    }
-    embedder_->reacquire(b.outcome);
-    departures_.emplace(b.depart_s, b.request_id);
-    active_.emplace(b.request_id, std::move(b));
-  }
-  r.exit_section();
-
-  r.enter_section("placed");
-  std::uint32_t np = r.u32();
-  for (std::uint32_t i = 0; i < np; ++i) {
-    std::string tenant = r.str();
-    std::uint32_t nv = r.u32();
-    std::vector<host::VmId> vms;
-    vms.reserve(nv);
-    for (std::uint32_t v = 0; v < nv; ++v) {
-      vms.push_back(static_cast<host::VmId>(r.i64()));
-    }
-    placed_.emplace(std::move(tenant), std::move(vms));
-  }
-  r.exit_section();
-
-  r.exit_section();
-}
+template void AdmissionController::ckpt_io(ckpt::Writer&);
+template void AdmissionController::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::arena

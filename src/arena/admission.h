@@ -122,12 +122,12 @@ class AdmissionController {
   std::uint64_t slo_violations() const;
 
   // --- checkpoint/restore (src/ckpt) --------------------------------------
-  void ckpt_save(ckpt::Writer& w) const;
-  /// Restores into a controller on a FRESH cloud: re-registers customers in
-  /// their original order (the cloud image verifies them), rebuilds demand
-  /// profiles for live bundles, and re-applies embedder ledgers.  Must run
-  /// BEFORE VBundleCloud::restore_checkpoint.
-  void ckpt_restore(ckpt::Reader& r);
+  /// Restore runs into a controller on a FRESH cloud: it re-registers
+  /// customers in their original order (the cloud image verifies them),
+  /// rebuilds demand profiles for live bundles, and re-applies embedder
+  /// ledgers.  It must run BEFORE VBundleCloud::restore_checkpoint.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   host::CustomerId customer_for(const std::string& tenant);

@@ -118,13 +118,6 @@ double Arena::fragmentation() const {
       cloud_->topology(), cloud_->fleet().free_reservation_snapshot());
 }
 
-double Arena::utilization() const {
-  double free_total = cloud_->fleet().free_reservation_total();
-  double capacity = cloud_->topology().config().host_nic_mbps *
-                    static_cast<double>(cloud_->num_hosts());
-  return capacity > 0 ? 1.0 - free_total / capacity : 1.0;
-}
-
 void Arena::collect_metrics(obs::MetricsRegistry& reg) const {
   const AdmissionStats& s = admission_->stats();
   reg.counter("arena.requests_offered").set(s.offered);
@@ -153,85 +146,67 @@ void Arena::collect_metrics(obs::MetricsRegistry& reg) const {
   for (double v : util_samples_) ud.observe(v);
 }
 
+template <class IO>
+void Arena::ckpt_io(IO& io) {
+  // Save quiesces the cloud first; restore applies its image last.
+  std::string cloud_image;
+  if constexpr (!IO::kLoading) {
+    std::vector<std::uint8_t> img = cloud_->save_checkpoint();
+    cloud_image.assign(img.begin(), img.end());
+  }
+  io.section("arena", [&] {
+    bool had_setup = setup_done_;
+    io.section("arena_loop", [&] {
+      EmbedderKind kind = cfg_.embedder;
+      std::uint64_t max_requests = cfg_.max_requests;
+      double horizon = cfg_.horizon_s;
+      io.u8(kind);
+      io.u64(max_requests);
+      io.f64(horizon);
+      io.loading([&] {
+        if (kind != cfg_.embedder || max_requests != cfg_.max_requests ||
+            horizon != cfg_.horizon_s) {
+          throw ckpt::CkptError(
+              "arena: checkpoint was taken under a different ArenaConfig");
+        }
+      });
+      io.u64(arrivals_);
+      io.f64(next_sample_);
+      io.boolean(had_setup);
+      io.opt(pending_, [&](VcRequest& req) { req.ckpt_io(io); });
+      io.seq(frag_samples_, [&](double& v) { io.f64(v); });
+      io.seq(util_samples_, [&](double& v) { io.f64(v); });
+    });
+
+    gen_.ckpt_io(io);
+
+    // Re-run the deterministic setup on the fresh cloud (demand model timer,
+    // rebalancing ticks), re-register customers and rebuild bundle-side
+    // state (demand profiles, uplink ledgers), and only then restore the
+    // cloud image — which re-arms every timer at its original (fire_time,
+    // seq) and verifies the reconstruction.
+    io.loading([&] {
+      if (had_setup) setup_once();
+    });
+    admission_->ckpt_io(io);
+
+    io.section("cloud_image", [&] { io.str(cloud_image); });
+  });
+  io.loading([&] {
+    cloud_->restore_checkpoint(
+        std::vector<std::uint8_t>(cloud_image.begin(), cloud_image.end()));
+  });
+}
+
 std::vector<std::uint8_t> Arena::save_checkpoint() {
-  std::vector<std::uint8_t> cloud_img = cloud_->save_checkpoint();
   ckpt::Writer w;
-  w.begin_section("arena");
-
-  w.begin_section("arena_loop");
-  w.u8(static_cast<std::uint8_t>(cfg_.embedder));
-  w.u64(cfg_.max_requests);
-  w.f64(cfg_.horizon_s);
-  w.u64(arrivals_);
-  w.f64(next_sample_);
-  w.boolean(setup_done_);
-  w.boolean(pending_.has_value());
-  if (pending_) pending_->ckpt_save(w);
-  w.u32(static_cast<std::uint32_t>(frag_samples_.size()));
-  for (double v : frag_samples_) w.f64(v);
-  w.u32(static_cast<std::uint32_t>(util_samples_.size()));
-  for (double v : util_samples_) w.f64(v);
-  w.end_section();
-
-  gen_.ckpt_save(w);
-  admission_->ckpt_save(w);
-
-  w.begin_section("cloud_image");
-  w.str(std::string(cloud_img.begin(), cloud_img.end()));
-  w.end_section();
-
-  w.end_section();
+  ckpt_io(w);
   return w.finish();
 }
 
 void Arena::restore_checkpoint(const std::vector<std::uint8_t>& image) {
   ckpt::Reader r(image);
-  r.enter_section("arena");
-
-  r.enter_section("arena_loop");
-  auto kind = static_cast<EmbedderKind>(r.u8());
-  std::uint64_t max_requests = r.u64();
-  double horizon = r.f64();
-  if (kind != cfg_.embedder || max_requests != cfg_.max_requests ||
-      horizon != cfg_.horizon_s) {
-    throw ckpt::CkptError(
-        "arena: checkpoint was taken under a different ArenaConfig");
-  }
-  arrivals_ = r.u64();
-  next_sample_ = r.f64();
-  bool had_setup = r.boolean();
-  if (r.boolean()) {
-    VcRequest req;
-    req.ckpt_restore(r);
-    pending_ = std::move(req);
-  } else {
-    pending_.reset();
-  }
-  std::uint32_t nf = r.u32();
-  frag_samples_.clear();
-  for (std::uint32_t i = 0; i < nf; ++i) frag_samples_.push_back(r.f64());
-  std::uint32_t nu = r.u32();
-  util_samples_.clear();
-  for (std::uint32_t i = 0; i < nu; ++i) util_samples_.push_back(r.f64());
-  r.exit_section();
-
-  gen_.ckpt_restore(r);
-
-  // Re-run the deterministic setup on the fresh cloud (demand model timer,
-  // rebalancing ticks), re-register customers and rebuild bundle-side state
-  // (demand profiles, uplink ledgers), and only then restore the cloud
-  // image — which re-arms every timer at its original (fire_time, seq) and
-  // verifies the reconstruction.
-  if (had_setup) setup_once();
-  admission_->ckpt_restore(r);
-
-  r.enter_section("cloud_image");
-  std::string blob = r.str();
-  r.exit_section();
-
-  r.exit_section();
-  cloud_->restore_checkpoint(
-      std::vector<std::uint8_t>(blob.begin(), blob.end()));
+  ckpt_io(r);
 }
 
 }  // namespace vb::arena

@@ -87,7 +87,7 @@ class Arena {
   double fragmentation() const;
   /// Fleet bandwidth-reservation utilization in [0, 1], from the Fleet's
   /// cached free-capacity total.
-  double utilization() const;
+  double utilization() const { return reservation_utilization(*cloud_); }
 
   /// Exports arena.* counters/gauges/distributions (acceptance rate,
   /// revenue, fragmentation, migration churn, SLO violations, ...).
@@ -106,6 +106,9 @@ class Arena {
  private:
   void setup_once();
   void take_sample();
+  /// The one layout behind save_checkpoint and restore_checkpoint.
+  template <class IO>
+  void ckpt_io(IO& io);
 
   core::VBundleCloud* cloud_;
   ArenaConfig cfg_;

@@ -101,10 +101,10 @@ CompetitiveEmbedder::CompetitiveEmbedder(core::VBundleCloud* cloud,
   }
 }
 
-double CompetitiveEmbedder::utilization() const {
-  double free_total = cloud_->fleet().free_reservation_total();
-  double capacity = cloud_->topology().config().host_nic_mbps *
-                    static_cast<double>(cloud_->num_hosts());
+double reservation_utilization(const core::VBundleCloud& cloud) {
+  double free_total = cloud.fleet().free_reservation_total();
+  double capacity = cloud.topology().config().host_nic_mbps *
+                    static_cast<double>(cloud.num_hosts());
   return capacity > 0 ? 1.0 - free_total / capacity : 1.0;
 }
 

@@ -96,6 +96,10 @@ class GreedyTreeEmbedder : public Embedder {
   baseline::GreedyTreePacker packer_;
 };
 
+/// Fleet bandwidth-reservation utilization in [0, 1], from the Fleet's
+/// cached free-capacity total.
+double reservation_utilization(const core::VBundleCloud& cloud);
+
 struct CompetitiveConfig {
   /// Base of the exponential congestion cost mu^u - 1; higher = admits more
   /// at low load, cuts off more sharply near saturation.
@@ -117,7 +121,7 @@ class CompetitiveEmbedder : public GreedyTreeEmbedder {
   EmbedOutcome embed(const VcRequest& req, host::CustomerId c) override;
 
   /// Current fleet bandwidth-reservation utilization in [0, 1].
-  double utilization() const;
+  double utilization() const { return reservation_utilization(*cloud_); }
 
  private:
   CompetitiveConfig cfg_;

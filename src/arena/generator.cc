@@ -71,35 +71,26 @@ std::optional<VcRequest> OpenWorldGenerator::next() {
   return r;
 }
 
-void OpenWorldGenerator::ckpt_save(ckpt::Writer& w) const {
-  w.begin_section("arena_generator");
-  w.u64(cfg_.seed);  // reconstruction guard
-  Rng::State s = rng_.ckpt_state();
-  w.u64(s.state);
-  w.boolean(s.have_spare_normal);
-  w.f64(s.spare_normal);
-  w.f64(t_);
-  w.u64(next_id_);
-  w.end_section();
+template <class IO>
+void OpenWorldGenerator::ckpt_io(IO& io) {
+  io.section("arena_generator", [&] {
+    std::uint64_t seed = cfg_.seed;  // reconstruction guard
+    io.u64(seed);
+    io.loading([&] {
+      if (seed != cfg_.seed) {
+        throw ckpt::CkptError("arena_generator: seed mismatch (checkpoint " +
+                              std::to_string(seed) + ", reconstruction " +
+                              std::to_string(cfg_.seed) + ")");
+      }
+    });
+    rng_.ckpt_io(io);
+    io.f64(t_);
+    io.u64(next_id_);
+  });
 }
 
-void OpenWorldGenerator::ckpt_restore(ckpt::Reader& r) {
-  r.enter_section("arena_generator");
-  std::uint64_t seed = r.u64();
-  if (seed != cfg_.seed) {
-    throw ckpt::CkptError("arena_generator: seed mismatch (checkpoint " +
-                          std::to_string(seed) + ", reconstruction " +
-                          std::to_string(cfg_.seed) + ")");
-  }
-  Rng::State s;
-  s.state = r.u64();
-  s.have_spare_normal = r.boolean();
-  s.spare_normal = r.f64();
-  rng_.ckpt_restore(s);
-  t_ = r.f64();
-  next_id_ = r.u64();
-  r.exit_section();
-}
+template void OpenWorldGenerator::ckpt_io(ckpt::Writer&);
+template void OpenWorldGenerator::ckpt_io(ckpt::Reader&);
 
 ClosedWorldSource::ClosedWorldSource(std::vector<Batch> batches,
                                      std::uint64_t first_id)
@@ -129,20 +120,16 @@ std::optional<VcRequest> ClosedWorldSource::next() {
   return r;
 }
 
-void ClosedWorldSource::ckpt_save(ckpt::Writer& w) const {
-  w.begin_section("arena_closed_source");
-  w.u64(static_cast<std::uint64_t>(batch_));
-  w.i64(index_);
-  w.u64(next_id_);
-  w.end_section();
+template <class IO>
+void ClosedWorldSource::ckpt_io(IO& io) {
+  io.section("arena_closed_source", [&] {
+    io.u64(batch_);
+    io.i64(index_);
+    io.u64(next_id_);
+  });
 }
 
-void ClosedWorldSource::ckpt_restore(ckpt::Reader& r) {
-  r.enter_section("arena_closed_source");
-  batch_ = static_cast<std::size_t>(r.u64());
-  index_ = static_cast<int>(r.i64());
-  next_id_ = r.u64();
-  r.exit_section();
-}
+template void ClosedWorldSource::ckpt_io(ckpt::Writer&);
+template void ClosedWorldSource::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::arena

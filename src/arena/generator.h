@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "arena/request.h"
+#include "ckpt/format.h"
 #include "common/rng.h"
 
 namespace vb::arena {
@@ -70,8 +71,12 @@ class OpenWorldGenerator : public RequestSource {
 
   std::optional<VcRequest> next() override;
 
-  void ckpt_save(ckpt::Writer& w) const override;
-  void ckpt_restore(ckpt::Reader& r) override;
+  void ckpt_save(ckpt::Writer& w) const override { ckpt::save(w, *this); }
+  void ckpt_restore(ckpt::Reader& r) override { ckpt_io(r); }
+  /// The one layout behind ckpt_save and ckpt_restore; restore refuses an
+  /// image of a different seed.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   GeneratorConfig cfg_;
@@ -96,8 +101,11 @@ class ClosedWorldSource : public RequestSource {
 
   std::optional<VcRequest> next() override;
 
-  void ckpt_save(ckpt::Writer& w) const override;
-  void ckpt_restore(ckpt::Reader& r) override;
+  void ckpt_save(ckpt::Writer& w) const override { ckpt::save(w, *this); }
+  void ckpt_restore(ckpt::Reader& r) override { ckpt_io(r); }
+  /// The one layout behind ckpt_save and ckpt_restore.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   std::vector<Batch> batches_;

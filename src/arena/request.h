@@ -15,7 +15,6 @@
 #include <memory>
 #include <string>
 
-#include "ckpt/format.h"
 #include "hostmodel/vm.h"
 #include "workloads/demand.h"
 
@@ -41,21 +40,15 @@ struct DemandShape {
   double phase_s = 0.0;
   std::uint64_t seed = 0;
 
-  void ckpt_save(ckpt::Writer& w) const {
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.f64(low_mbps);
-    w.f64(high_mbps);
-    w.f64(period_s);
-    w.f64(phase_s);
-    w.u64(seed);
-  }
-  void ckpt_restore(ckpt::Reader& r) {
-    kind = static_cast<ProfileKind>(r.u8());
-    low_mbps = r.f64();
-    high_mbps = r.f64();
-    period_s = r.f64();
-    phase_s = r.f64();
-    seed = r.u64();
+  /// Checkpoint layout (src/ckpt).
+  template <class IO>
+  void ckpt_io(IO& io) {
+    io.u8(kind);
+    io.f64(low_mbps);
+    io.f64(high_mbps);
+    io.f64(period_s);
+    io.f64(phase_s);
+    io.u64(seed);
   }
 };
 
@@ -97,31 +90,16 @@ struct VcRequest {
   host::VmSpec spec;  ///< B = spec.reservation_mbps (hose guarantee)
   DemandShape shape;
 
-  void ckpt_save(ckpt::Writer& w) const {
-    w.u64(id);
-    w.str(tenant);
-    w.f64(arrival_s);
-    w.f64(lifetime_s);
-    w.i64(n_vms);
-    w.f64(spec.reservation_mbps);
-    w.f64(spec.limit_mbps);
-    w.f64(spec.ram_mb);
-    w.f64(spec.cpu_reservation);
-    w.f64(spec.cpu_limit);
-    shape.ckpt_save(w);
-  }
-  void ckpt_restore(ckpt::Reader& r) {
-    id = r.u64();
-    tenant = r.str();
-    arrival_s = r.f64();
-    lifetime_s = r.f64();
-    n_vms = static_cast<int>(r.i64());
-    spec.reservation_mbps = r.f64();
-    spec.limit_mbps = r.f64();
-    spec.ram_mb = r.f64();
-    spec.cpu_reservation = r.f64();
-    spec.cpu_limit = r.f64();
-    shape.ckpt_restore(r);
+  /// Checkpoint layout (src/ckpt).
+  template <class IO>
+  void ckpt_io(IO& io) {
+    io.u64(id);
+    io.str(tenant);
+    io.f64(arrival_s);
+    io.f64(lifetime_s);
+    io.i64(n_vms);
+    spec.ckpt_io(io);
+    shape.ckpt_io(io);
   }
 };
 

@@ -1,9 +1,7 @@
 #include "ckpt/payload_codec.h"
 
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "pastry/pastry_internal.h"
 
@@ -23,7 +21,8 @@ std::map<std::string, Entry>& registry() {
 
 }  // namespace
 
-void PayloadCodec::add(const std::string& name, EncodeFn enc, DecodeFn dec) {
+void PayloadCodec::add_fns(const std::string& name, EncodeFn enc,
+                           DecodeFn dec) {
   registry()[name] = Entry{enc, dec};
 }
 
@@ -49,88 +48,34 @@ pastry::PayloadPtr PayloadCodec::decode(Reader& r) {
   return it->second.dec(r);
 }
 
-void PayloadCodec::encode_ptr(Writer& w, const pastry::PayloadPtr& p) {
-  w.boolean(p != nullptr);
-  if (p) encode(w, *p);
-}
-
-pastry::PayloadPtr PayloadCodec::decode_ptr(Reader& r) {
-  if (!r.boolean()) return nullptr;
-  return decode(r);
-}
-
 }  // namespace vb::ckpt
 
 namespace vb::pastry {
 
-namespace {
-
-using ckpt::PayloadCodec;
-using ckpt::Reader;
-using ckpt::Writer;
-
-void put_handles(Writer& w, const std::vector<NodeHandle>& hs) {
-  w.u32(static_cast<std::uint32_t>(hs.size()));
-  for (const NodeHandle& h : hs) ckpt::put_handle(w, h);
-}
-
-std::vector<NodeHandle> get_handles(Reader& r) {
-  std::uint32_t n = r.u32();
-  std::vector<NodeHandle> hs;
-  hs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) hs.push_back(ckpt::get_handle(r));
-  return hs;
-}
-
-}  // namespace
-
 void register_ckpt_payload_codecs() {
+  using ckpt::PayloadCodec;
   using namespace internal;
-  PayloadCodec::add(
-      "pastry.scan",
-      [](Writer& w, const Payload& p) {
-        ckpt::put_handle(w, ckpt::payload_cast<RingScan>(p).origin);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<RingScan>();
-        m->origin = ckpt::get_handle(r);
-        return m;
+  PayloadCodec::add<RingScan>(
+      "pastry.scan", [](auto& io, RingScan& m) { m.origin.ckpt_io(io); });
+  PayloadCodec::add<RingScanReply>(
+      "pastry.scan_rep", [](auto& io, RingScanReply& m) {
+        io.seq(m.nodes, [&](NodeHandle& h) { h.ckpt_io(io); });
       });
-  PayloadCodec::add(
-      "pastry.scan_rep",
-      [](Writer& w, const Payload& p) {
-        put_handles(w, ckpt::payload_cast<RingScanReply>(p).nodes);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<RingScanReply>();
-        m->nodes = get_handles(r);
-        return m;
-      });
-  PayloadCodec::add(
-      "pastry.rel",
-      [](Writer& w, const Payload& p) {
-        const auto& m = ckpt::payload_cast<ReliableEnvelope>(p);
-        PayloadCodec::encode_ptr(w, m.inner);
-        ckpt::put_category(w, m.inner_category);
-        w.u64(m.seq);
-        w.u64(m.floor);
-        ckpt::put_handle(w, m.sender);
-        w.u64(m.trace);
-      },
-      [](Reader& r) -> PayloadPtr {
-        auto m = std::make_shared<ReliableEnvelope>();
-        m->inner = PayloadCodec::decode_ptr(r);
-        m->inner_category = ckpt::get_category(r);
-        m->seq = r.u64();
-        m->floor = r.u64();
-        if (m->floor > m->seq) {
-          throw ckpt::CkptError("pastry.rel: floor " +
-                                std::to_string(m->floor) + " above seq " +
-                                std::to_string(m->seq));
-        }
-        m->sender = ckpt::get_handle(r);
-        m->trace = r.u64();
-        return m;
+  PayloadCodec::add<ReliableEnvelope>(
+      "pastry.rel", [](auto& io, ReliableEnvelope& m) {
+        PayloadCodec::nullable(io, m.inner);
+        ckpt::category(io, m.inner_category);
+        io.u64(m.seq);
+        io.u64(m.floor);
+        io.loading([&] {
+          if (m.floor > m.seq) {
+            throw ckpt::CkptError("pastry.rel: floor " +
+                                  std::to_string(m.floor) + " above seq " +
+                                  std::to_string(m.seq));
+          }
+        });
+        m.sender.ckpt_io(io);
+        io.u64(m.trace);
       });
 }
 

@@ -8,7 +8,7 @@
 // heartbeat_nack, parent_reset, walk, anycast_ok, anycast_fail) and the
 // vbundle.lb_query a walk carries.  Only those have codecs; encoding any
 // other payload throws.  The registry maps Payload::name() strings (already
-// stable wire identifiers) to encode/decode functions.
+// stable wire identifiers) to each payload type's single layout.
 //
 // Registration is explicit per layer: a static-initializer pattern would be
 // silently dropped when the static libraries are linked, so each layer
@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
 
 #include "ckpt/format.h"
 #include "pastry/message.h"
@@ -31,8 +33,24 @@ class PayloadCodec {
   using EncodeFn = void (*)(Writer&, const pastry::Payload&);
   using DecodeFn = pastry::PayloadPtr (*)(Reader&);
 
-  /// Registers (or re-registers — idempotent) a codec for one name() value.
-  static void add(const std::string& name, EncodeFn enc, DecodeFn dec);
+  /// Registers (or re-registers — idempotent) the codec of payload type T
+  /// under its name() value.  `io` is a captureless callable `(auto& io,
+  /// T& m)` holding the payload's one layout: encode runs it with a Writer,
+  /// decode with a Reader on a default-constructed T.
+  template <class T, class Io>
+  static void add(const std::string& name, Io) {
+    static_assert(std::is_empty_v<Io>, "a payload codec captures nothing");
+    add_fns(
+        name,
+        [](Writer& w, const pastry::Payload& p) {
+          Io{}(w, const_cast<T&>(payload_cast<T>(p)));
+        },
+        [](Reader& r) -> pastry::PayloadPtr {
+          auto m = std::make_shared<T>();
+          Io{}(r, *m);
+          return m;
+        });
+  }
 
   /// Writes `p.name()` then the payload fields.  Throws CkptError when the
   /// payload type has no registered codec.
@@ -41,43 +59,42 @@ class PayloadCodec {
   /// on an unknown name.
   static pastry::PayloadPtr decode(Reader& r);
 
-  /// Nullable variants: presence flag + encode/decode.
-  static void encode_ptr(Writer& w, const pastry::PayloadPtr& p);
-  static pastry::PayloadPtr decode_ptr(Reader& r);
+  /// A payload field of a checkpointed type: encode() on save, decode() on
+  /// restore.
+  static void field(Writer& w, pastry::PayloadPtr& p) { encode(w, *p); }
+  static void field(Reader& r, pastry::PayloadPtr& p) { p = decode(r); }
+  /// A nullable payload field: presence flag, then field().
+  template <class IO>
+  static void nullable(IO& io, pastry::PayloadPtr& p) {
+    bool present = p != nullptr;
+    io.boolean(present);
+    if (present) field(io, p);
+  }
+
+ private:
+  /// Downcast for encoders; a name()/type mismatch (two payload types
+  /// sharing a name string) throws instead of reading garbage.
+  template <class T>
+  static const T& payload_cast(const pastry::Payload& p) {
+    const T* t = dynamic_cast<const T*>(&p);
+    if (t == nullptr) {
+      throw CkptError("payload codec: registered codec for '" + p.name() +
+                      "' does not match the payload's concrete type");
+    }
+    return *t;
+  }
+  static void add_fns(const std::string& name, EncodeFn enc, DecodeFn dec);
 };
 
-/// Downcast helper for encoders; a name()/type mismatch (two payload types
-/// sharing a name string) throws instead of reading garbage.
-template <class T>
-const T& payload_cast(const pastry::Payload& p) {
-  const T* t = dynamic_cast<const T*>(&p);
-  if (t == nullptr) {
-    throw CkptError("payload codec: registered codec for '" + p.name() +
-                    "' does not match the payload's concrete type");
-  }
-  return *t;
-}
-
-// --- field helpers shared by the per-layer codec files ---------------------
-inline void put_handle(Writer& w, const pastry::NodeHandle& h) {
-  w.u128(h.id);
-  w.i64(h.host);
-}
-inline pastry::NodeHandle get_handle(Reader& r) {
-  pastry::NodeHandle h;
-  h.id = r.u128();
-  h.host = static_cast<net::HostId>(r.i64());
-  return h;
-}
-inline void put_category(Writer& w, pastry::MsgCategory c) {
-  w.u8(static_cast<std::uint8_t>(c));
-}
-inline pastry::MsgCategory get_category(Reader& r) {
-  std::uint8_t v = r.u8();
-  if (v > static_cast<std::uint8_t>(pastry::MsgCategory::kAck)) {
-    throw CkptError("payload codec: MsgCategory value out of range");
-  }
-  return static_cast<pastry::MsgCategory>(v);
+/// A MsgCategory field; restore refuses a value outside the enum.
+template <class IO>
+void category(IO& io, pastry::MsgCategory& c) {
+  io.u8(c);
+  io.loading([&] {
+    if (c > pastry::MsgCategory::kAck) {
+      throw CkptError("payload codec: MsgCategory value out of range");
+    }
+  });
 }
 
 }  // namespace vb::ckpt

@@ -81,6 +81,13 @@ class Rng {
     have_spare_normal_ = s.have_spare_normal;
     spare_normal_ = s.spare_normal;
   }
+  /// Checkpoint layout: the fields of State, in order.
+  template <class IO>
+  void ckpt_io(IO& io) {
+    io.u64(state_);
+    io.boolean(have_spare_normal_);
+    io.f64(spare_normal_);
+  }
 
  private:
   std::uint64_t state_;

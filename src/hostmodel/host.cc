@@ -203,86 +203,58 @@ double Fleet::free_reservation_total() const {
   return total;
 }
 
-void Fleet::ckpt_save(ckpt::Writer& w) const {
-  w.begin_section("fleet");
-  w.u32(static_cast<std::uint32_t>(hosts_.size()));
-  for (const Host& h : hosts_) {
-    w.f64(h.capacity_mbps_);
-    w.f64(h.cpu_capacity_);
-    w.f64(h.mem_capacity_mb_);
-    w.f64(h.reserved_mbps_);
-    w.f64(h.reserved_cpu_);
-    w.f64(h.reserved_mem_mb_);
-    w.u32(static_cast<std::uint32_t>(h.vms_.size()));
-    for (VmId id : h.vms_) w.i64(id);
-  }
-  w.u32(static_cast<std::uint32_t>(vms_.size()));
-  for (const Vm& v : vms_) {
-    w.i64(v.customer);
-    w.f64(v.spec.reservation_mbps);
-    w.f64(v.spec.limit_mbps);
-    w.f64(v.spec.ram_mb);
-    w.f64(v.spec.cpu_reservation);
-    w.f64(v.spec.cpu_limit);
-    w.i64(v.host);
-    w.f64(v.demand_mbps);
-    w.f64(v.cpu_demand);
-    w.boolean(v.migrating);
-    w.boolean(v.destroyed);
-  }
-  w.end_section();
+template <class IO>
+void Fleet::ckpt_io(IO& io) {
+  io.loading([&] { mark_all_dirty(); });  // every host's reservations change
+  io.section("fleet", [&] {
+    auto nh = static_cast<std::uint32_t>(hosts_.size());
+    io.u32(nh);
+    io.loading([&] {
+      if (nh != hosts_.size()) {
+        throw ckpt::CkptError("fleet: host count mismatch (checkpoint " +
+                              std::to_string(nh) + ", reconstruction " +
+                              std::to_string(hosts_.size()) + ")");
+      }
+    });
+    for (Host& h : hosts_) {
+      double cap = h.capacity_mbps_;
+      double cpu = h.cpu_capacity_;
+      double mem = h.mem_capacity_mb_;
+      io.f64(cap);
+      io.f64(cpu);
+      io.f64(mem);
+      io.loading([&] {
+        if (cap != h.capacity_mbps_ || cpu != h.cpu_capacity_ ||
+            mem != h.mem_capacity_mb_) {
+          throw ckpt::CkptError("fleet: host " + std::to_string(h.id_) +
+                                " capacity mismatch");
+        }
+      });
+      io.f64(h.reserved_mbps_);
+      io.f64(h.reserved_cpu_);
+      io.f64(h.reserved_mem_mb_);
+      io.seq(h.vms_, [&](VmId& id) { io.i64(id); });
+    }
+    // VMs may have been booted after setup, so the table is rebuilt
+    // wholesale rather than verified against the reconstruction.
+    io.seq(vms_, [&](Vm& v) {
+      io.i64(v.customer);
+      v.spec.ckpt_io(io);
+      io.i64(v.host);
+      io.f64(v.demand_mbps);
+      io.f64(v.cpu_demand);
+      io.boolean(v.migrating);
+      io.boolean(v.destroyed);
+    });
+    io.loading([&] {
+      for (std::size_t i = 0; i < vms_.size(); ++i) {
+        vms_[i].id = static_cast<VmId>(i);
+      }
+    });
+  });
 }
 
-void Fleet::ckpt_restore(ckpt::Reader& r) {
-  mark_all_dirty();  // every host's reservations are rewritten
-  r.enter_section("fleet");
-  std::uint32_t nh = r.u32();
-  if (nh != hosts_.size()) {
-    throw ckpt::CkptError("fleet: host count mismatch (checkpoint " +
-                          std::to_string(nh) + ", reconstruction " +
-                          std::to_string(hosts_.size()) + ")");
-  }
-  for (Host& h : hosts_) {
-    double cap = r.f64();
-    double cpu = r.f64();
-    double mem = r.f64();
-    if (cap != h.capacity_mbps_ || cpu != h.cpu_capacity_ ||
-        mem != h.mem_capacity_mb_) {
-      throw ckpt::CkptError("fleet: host " + std::to_string(h.id_) +
-                            " capacity mismatch");
-    }
-    h.reserved_mbps_ = r.f64();
-    h.reserved_cpu_ = r.f64();
-    h.reserved_mem_mb_ = r.f64();
-    h.vms_.clear();
-    std::uint32_t nv = r.u32();
-    h.vms_.reserve(nv);
-    for (std::uint32_t i = 0; i < nv; ++i) {
-      h.vms_.push_back(static_cast<VmId>(r.i64()));
-    }
-  }
-  // VMs may have been booted after setup, so the table is rebuilt wholesale
-  // rather than verified against the reconstruction.
-  std::uint32_t nv = r.u32();
-  vms_.clear();
-  vms_.reserve(nv);
-  for (std::uint32_t i = 0; i < nv; ++i) {
-    Vm v;
-    v.id = static_cast<VmId>(i);
-    v.customer = static_cast<CustomerId>(r.i64());
-    v.spec.reservation_mbps = r.f64();
-    v.spec.limit_mbps = r.f64();
-    v.spec.ram_mb = r.f64();
-    v.spec.cpu_reservation = r.f64();
-    v.spec.cpu_limit = r.f64();
-    v.host = static_cast<int>(r.i64());
-    v.demand_mbps = r.f64();
-    v.cpu_demand = r.f64();
-    v.migrating = r.boolean();
-    v.destroyed = r.boolean();
-    vms_.push_back(v);
-  }
-  r.exit_section();
-}
+template void Fleet::ckpt_io(ckpt::Writer&);
+template void Fleet::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::host

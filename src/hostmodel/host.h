@@ -206,11 +206,14 @@ class Fleet {
   /// Serializes dynamic placement state: per-host reservations and VM lists
   /// plus every VM record.  Host capacities are static configuration and are
   /// written only so restore can verify the reconstruction matches.
-  void ckpt_save(ckpt::Writer& w) const;
+  void ckpt_save(ckpt::Writer& w) const { ckpt::save(w, *this); }
   /// Restores into a fleet built with the same constructor arguments; the VM
   /// table is rebuilt wholesale (VMs may have been booted mid-run).  Throws
   /// ckpt::CkptError when host count or capacities disagree.
-  void ckpt_restore(ckpt::Reader& r);
+  void ckpt_restore(ckpt::Reader& r) { ckpt_io(r); }
+  /// The one layout behind ckpt_save and ckpt_restore.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   static constexpr std::size_t kFreeChunks = 64;

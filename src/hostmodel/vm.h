@@ -37,6 +37,16 @@ struct VmSpec {
            ram_mb > 0.0 && cpu_reservation >= 0.0 &&
            cpu_limit >= cpu_reservation;
   }
+
+  /// Checkpoint layout (src/ckpt): the five fields in declaration order.
+  template <class IO>
+  void ckpt_io(IO& io) {
+    io.f64(reservation_mbps);
+    io.f64(limit_mbps);
+    io.f64(ram_mb);
+    io.f64(cpu_reservation);
+    io.f64(cpu_limit);
+  }
 };
 
 /// A VM instance: identity, owner, placement, spec, and its current

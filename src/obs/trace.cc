@@ -153,72 +153,60 @@ const char* TraceRecorder::intern(const std::string& s) {
   return interned_.insert(s).first->c_str();
 }
 
-void TraceRecorder::ckpt_save(ckpt::Writer& w) const {
-  w.begin_section("trace");
-  w.u64(capacity_);
-  w.u64(head_);
-  w.u64(buf_.size());
-  w.u64(total_);
-  w.u64(next_id_);
-  auto opt_str = [&w](const char* s) {
-    w.boolean(s != nullptr);
-    if (s != nullptr) w.str(s);
-  };
-  // Storage order, not chronological order: restoring buf_ verbatim (plus
-  // head_) makes every later overwrite land in the same slot.
-  for (const TraceEvent& e : buf_) {
-    w.f64(e.ts_s);
-    w.u64(e.trace_id);
-    w.u32(static_cast<std::uint32_t>(e.node));
-    w.u8(static_cast<std::uint8_t>(e.phase));
-    w.str(e.name);
-    w.str(e.cat);
-    opt_str(e.arg0_name);
-    w.f64(e.arg0);
-    opt_str(e.arg1_name);
-    w.f64(e.arg1);
-  }
-  w.end_section();
+template <class IO>
+void TraceRecorder::ckpt_io(IO& io) {
+  io.section("trace", [&] {
+    std::uint64_t capacity = capacity_;
+    io.u64(capacity);
+    io.loading([&] {
+      if (capacity != capacity_) {
+        throw ckpt::CkptError(
+            "trace restore: recorder capacity mismatch — reconstruct the "
+            "recorder with the original capacity");
+      }
+    });
+    std::uint64_t head = head_;
+    std::uint64_t size = buf_.size();
+    io.u64(head);
+    io.u64(size);
+    io.u64(total_);
+    io.u64(next_id_);
+    io.loading([&] {
+      if (size > capacity_ || head >= capacity_) {
+        throw ckpt::CkptError("trace restore: ring counters out of range");
+      }
+      head_ = head;
+      buf_.reserve(capacity_);
+      buf_.assign(size, TraceEvent{});
+    });
+    auto text = [&](const char*& s) {
+      std::string v = IO::kLoading ? std::string() : std::string(s);
+      io.str(v);
+      io.loading([&] { s = intern(v); });
+    };
+    auto opt_text = [&](const char*& s) {
+      bool present = s != nullptr;
+      io.boolean(present);
+      if (present) text(s);
+    };
+    // Storage order, not chronological order: restoring buf_ verbatim (plus
+    // head_) makes every later overwrite land in the same slot.
+    for (TraceEvent& e : buf_) {
+      io.f64(e.ts_s);
+      io.u64(e.trace_id);
+      io.u32(e.node);
+      io.u8(e.phase);
+      text(e.name);
+      text(e.cat);
+      opt_text(e.arg0_name);
+      io.f64(e.arg0);
+      opt_text(e.arg1_name);
+      io.f64(e.arg1);
+    }
+  });
 }
 
-void TraceRecorder::ckpt_restore(ckpt::Reader& r) {
-  r.enter_section("trace");
-  if (r.u64() != capacity_) {
-    throw ckpt::CkptError(
-        "trace restore: recorder capacity mismatch — reconstruct the "
-        "recorder with the original capacity");
-  }
-  std::uint64_t head = r.u64();
-  std::uint64_t size = r.u64();
-  std::uint64_t total = r.u64();
-  std::uint64_t next_id = r.u64();
-  if (size > capacity_ || head >= capacity_) {
-    throw ckpt::CkptError("trace restore: ring counters out of range");
-  }
-  auto opt_str = [this, &r]() -> const char* {
-    if (!r.boolean()) return nullptr;
-    return intern(r.str());
-  };
-  buf_.clear();
-  buf_.reserve(capacity_);
-  for (std::uint64_t i = 0; i < size; ++i) {
-    TraceEvent e;
-    e.ts_s = r.f64();
-    e.trace_id = r.u64();
-    e.node = static_cast<std::int32_t>(r.u32());
-    e.phase = static_cast<Phase>(r.u8());
-    e.name = intern(r.str());
-    e.cat = intern(r.str());
-    e.arg0_name = opt_str();
-    e.arg0 = r.f64();
-    e.arg1_name = opt_str();
-    e.arg1 = r.f64();
-    buf_.push_back(e);
-  }
-  head_ = head;
-  total_ = total;
-  next_id_ = next_id;
-  r.exit_section();
-}
+template void TraceRecorder::ckpt_io(ckpt::Writer&);
+template void TraceRecorder::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::obs

@@ -124,16 +124,14 @@ class TraceRecorder {
   bool write(const std::string& path) const;
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  /// Serializes the ring (capacity, counters, buffered events).  Event
+  /// The ring's one layout (capacity, counters, buffered events).  Event
   /// strings are written out by value, so the image does not depend on the
-  /// writer process's literal addresses.
-  void ckpt_save(ckpt::Writer& w) const;
-
-  /// Overwrites ring contents from the image.  The recorder must already
-  /// have the same capacity; a mismatch throws CkptError.  Restored strings
-  /// live in a recorder-owned arena — same static-storage guarantee the
-  /// literal contract gives, different owner.
-  void ckpt_restore(ckpt::Reader& r);
+  /// writer process's literal addresses.  Restore overwrites the ring; the
+  /// recorder must already have the same capacity (a mismatch throws
+  /// CkptError).  Restored strings live in a recorder-owned arena — same
+  /// static-storage guarantee the literal contract gives, different owner.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   /// Stable recorder-owned copy of `s` (checkpoint restore only).

@@ -40,45 +40,37 @@ std::size_t DedupWindows::entries() const {
   return n;
 }
 
-void DedupWindows::ckpt_save(ckpt::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(windows_.size()));
-  for (const Window& win : windows_) {
-    w.u128(win.sender);
-    w.u64(win.floor);
-    w.u32(static_cast<std::uint32_t>(win.above.size()));
-    for (std::uint64_t s : win.above) w.u64(s);
-  }
+template <class IO>
+void DedupWindows::ckpt_io(IO& io) {
+  // Restore checks each element against those read before it, which
+  // seq() has already appended.
+  io.seq(windows_, [&](Window& win) {
+    io.u128(win.sender);
+    io.u64(win.floor);
+    io.loading([&] {
+      if (!windows_.empty() && !(windows_.back().sender < win.sender)) {
+        throw ckpt::CkptError(
+            "dedup windows: senders not in strictly ascending order");
+      }
+    });
+    io.seq(win.above, [&](std::uint64_t& s) {
+      io.u64(s);
+      io.loading([&] {
+        if (s <= win.floor) {
+          throw ckpt::CkptError("dedup windows: listed seq " +
+                                std::to_string(s) + " at or below its floor " +
+                                std::to_string(win.floor));
+        }
+        if (!win.above.empty() && s <= win.above.back()) {
+          throw ckpt::CkptError(
+              "dedup windows: listed seqs not in strictly ascending order");
+        }
+      });
+    });
+  });
 }
 
-void DedupWindows::ckpt_restore(ckpt::Reader& r) {
-  windows_.clear();
-  std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Window win;
-    win.sender = r.u128();
-    win.floor = r.u64();
-    if (!windows_.empty() && !(windows_.back().sender < win.sender)) {
-      throw ckpt::CkptError(
-          "dedup windows: senders not in strictly ascending order");
-    }
-    std::uint32_t listed = r.u32();
-    std::uint64_t prev = win.floor;
-    for (std::uint32_t k = 0; k < listed; ++k) {
-      std::uint64_t s = r.u64();
-      if (s <= win.floor) {
-        throw ckpt::CkptError("dedup windows: listed seq " + std::to_string(s) +
-                              " at or below its floor " +
-                              std::to_string(win.floor));
-      }
-      if (s <= prev) {
-        throw ckpt::CkptError(
-            "dedup windows: listed seqs not in strictly ascending order");
-      }
-      win.above.push_back(s);
-      prev = s;
-    }
-    windows_.push_back(std::move(win));
-  }
-}
+template void DedupWindows::ckpt_io(ckpt::Writer&);
+template void DedupWindows::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::pastry

@@ -34,10 +34,13 @@ class DedupWindows {
   std::size_t entries() const;
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  void ckpt_save(ckpt::Writer& w) const;
+  void ckpt_save(ckpt::Writer& w) const { ckpt::save(w, *this); }
   /// Refuses windows out of sender order, and listed seqs at or below
   /// their floor or out of order.
-  void ckpt_restore(ckpt::Reader& r);
+  void ckpt_restore(ckpt::Reader& r) { ckpt_io(r); }
+  /// The one layout behind ckpt_save and ckpt_restore.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   struct Window {

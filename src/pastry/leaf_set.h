@@ -62,38 +62,23 @@ class LeafSet {
   const U128& owner() const { return owner_; }
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  void ckpt_save(ckpt::Writer& w) const {
-    auto put_side = [&w](const std::vector<NodeHandle>& side) {
-      w.u32(static_cast<std::uint32_t>(side.size()));
-      for (const NodeHandle& n : side) {
-        w.u128(n.id);
-        w.i64(n.host);
-      }
-    };
-    w.i64(half_);
-    put_side(cw_);
-    put_side(ccw_);
-  }
-  void ckpt_restore(ckpt::Reader& r) {
-    if (static_cast<int>(r.i64()) != half_) {
-      throw ckpt::CkptError("leaf set: half-width mismatch");
+  /// Half-width, then each side.  Restore refuses a different half-width
+  /// and a side larger than it.
+  template <class IO>
+  void ckpt_io(IO& io) {
+    int half = half_;
+    io.i64(half);
+    io.loading([&] {
+      if (half != half_) throw ckpt::CkptError("leaf set: half-width mismatch");
+    });
+    for (std::vector<NodeHandle>* side : {&cw_, &ccw_}) {
+      io.seq(*side, [&](NodeHandle& n) { n.ckpt_io(io); });
+      io.loading([&] {
+        if (side->size() > static_cast<std::size_t>(half_)) {
+          throw ckpt::CkptError("leaf set: side larger than half-width");
+        }
+      });
     }
-    auto get_side = [&r, this](std::vector<NodeHandle>& side) {
-      std::uint32_t n = r.u32();
-      if (n > static_cast<std::uint32_t>(half_)) {
-        throw ckpt::CkptError("leaf set: side larger than half-width");
-      }
-      side.clear();
-      side.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        NodeHandle h;
-        h.id = r.u128();
-        h.host = static_cast<net::HostId>(r.i64());
-        side.push_back(h);
-      }
-    };
-    get_side(cw_);
-    get_side(ccw_);
   }
 
  private:

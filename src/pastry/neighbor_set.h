@@ -57,39 +57,28 @@ class NeighborSet {
   std::size_t remote_capacity() const { return remote_cap_; }
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  void ckpt_save(ckpt::Writer& w) const {
-    auto put_side = [&w](const std::vector<NodeHandle>& side) {
-      w.u32(static_cast<std::uint32_t>(side.size()));
-      for (const NodeHandle& n : side) {
-        w.u128(n.id);
-        w.i64(n.host);
+  /// Slot quotas, then each side.  Restore refuses different quotas and a
+  /// side over its quota.
+  template <class IO>
+  void ckpt_io(IO& io) {
+    std::uint64_t local_cap = local_cap_;
+    std::uint64_t remote_cap = remote_cap_;
+    io.u64(local_cap);
+    io.u64(remote_cap);
+    io.loading([&] {
+      if (local_cap != local_cap_ || remote_cap != remote_cap_) {
+        throw ckpt::CkptError("neighbor set: slot-quota mismatch");
       }
-    };
-    w.u64(local_cap_);
-    w.u64(remote_cap_);
-    put_side(local_);
-    put_side(remote_);
-  }
-  void ckpt_restore(ckpt::Reader& r) {
-    if (r.u64() != local_cap_ || r.u64() != remote_cap_) {
-      throw ckpt::CkptError("neighbor set: slot-quota mismatch");
+    });
+    for (auto [side, cap] : {std::pair{&local_, local_cap_},
+                             std::pair{&remote_, remote_cap_}}) {
+      io.seq(*side, [&](NodeHandle& n) { n.ckpt_io(io); });
+      io.loading([&] {
+        if (side->size() > cap) {
+          throw ckpt::CkptError("neighbor set: side exceeds its slot quota");
+        }
+      });
     }
-    auto get_side = [&r](std::vector<NodeHandle>& side, std::size_t cap) {
-      std::uint32_t n = r.u32();
-      if (n > cap) {
-        throw ckpt::CkptError("neighbor set: side exceeds its slot quota");
-      }
-      side.clear();
-      side.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        NodeHandle h;
-        h.id = r.u128();
-        h.host = static_cast<net::HostId>(r.i64());
-        side.push_back(h);
-      }
-    };
-    get_side(local_, local_cap_);
-    get_side(remote_, remote_cap_);
   }
 
  private:

@@ -34,6 +34,13 @@ struct NodeHandle {
 
   bool valid() const { return host >= 0; }
   std::string to_string() const;
+
+  /// Checkpoint layout (src/ckpt): id, then host.
+  template <class IO>
+  void ckpt_io(IO& io) {
+    io.u128(id);
+    io.i64(host);
+  }
 };
 
 /// Invalid/absent handle.

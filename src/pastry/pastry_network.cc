@@ -92,11 +92,6 @@ void PastryNetwork::depart_node(const U128& id) {
   n.alive_ = false;
 }
 
-bool PastryNetwork::is_alive(const U128& id) const {
-  auto it = nodes_.find(id);
-  return it != nodes_.end() && it->second->alive_;
-}
-
 PastryNode* PastryNetwork::find(const U128& id) {
   auto it = nodes_.find(id);
   if (it == nodes_.end() || !it->second->alive_) return nullptr;
@@ -325,57 +320,54 @@ void PastryNetwork::stabilize_all() {
   }
 }
 
-void PastryNetwork::ckpt_save(ckpt::Writer& w) const {
-  if (wire_in_flight() != 0) {
+template <class IO>
+void PastryNetwork::ckpt_io(IO& io) {
+  if (!IO::kLoading && wire_in_flight() != 0) {
     throw ckpt::CkptError(
         "pastry save: " + std::to_string(wire_in_flight()) +
         " transport deliveries still in flight — checkpoints may only be "
         "taken at a quiesce barrier (wire_in_flight() == 0)");
   }
-  w.begin_section("pastry");
-  w.i64(last_delivery_hops_);
-  w.u32(static_cast<std::uint32_t>(nodes_.size()));
-  for (const auto& [id, n] : nodes_) {
-    w.u128(id);
-    w.boolean(n->alive_);
-    for (std::uint64_t v : n->counters_.msgs_sent) w.u64(v);
-    for (std::uint64_t v : n->counters_.bytes_sent) w.u64(v);
-    w.u64(n->counters_.fault_dropped_msgs);
-    w.u64(n->counters_.fault_dup_msgs);
-    n->ckpt_save(w);
-  }
-  w.end_section();
+  io.section("pastry", [&] {
+    io.i64(last_delivery_hops_);
+    auto count = static_cast<std::uint32_t>(nodes_.size());
+    io.u32(count);
+    io.loading([&] {
+      if (count != nodes_.size()) {
+        throw ckpt::CkptError(
+            "pastry restore: node count differs from the reconstruction");
+      }
+    });
+    for (auto& [id, n] : nodes_) {
+      // nodes_ is id-ordered on both sides, so the ids must line up
+      // one-to-one.
+      U128 saved = id;
+      io.u128(saved);
+      bool alive = n->alive_;
+      io.boolean(alive);
+      io.loading([&] {
+        if (saved != id) {
+          throw ckpt::CkptError("pastry restore: node id mismatch at " +
+                                id.short_hex() +
+                                " — reconstruction created different nodes");
+        }
+        if (alive && !n->alive_) {
+          throw ckpt::CkptError("pastry restore: node " + id.short_hex() +
+                                " is dead in the reconstruction but alive in "
+                                "the checkpoint");
+        }
+        n->alive_ = alive;  // re-kill nodes that had failed by checkpoint time
+      });
+      for (std::uint64_t& v : n->counters_.msgs_sent) io.u64(v);
+      for (std::uint64_t& v : n->counters_.bytes_sent) io.u64(v);
+      io.u64(n->counters_.fault_dropped_msgs);
+      io.u64(n->counters_.fault_dup_msgs);
+      n->ckpt_io(io);
+    }
+  });
 }
 
-void PastryNetwork::ckpt_restore(ckpt::Reader& r) {
-  r.enter_section("pastry");
-  last_delivery_hops_ = static_cast<int>(r.i64());
-  if (r.u32() != nodes_.size()) {
-    throw ckpt::CkptError(
-        "pastry restore: node count differs from the reconstruction");
-  }
-  for (auto& [id, n] : nodes_) {
-    // nodes_ is id-ordered and the save loop walked the same order, so the
-    // ids must line up one-to-one.
-    if (r.u128() != id) {
-      throw ckpt::CkptError("pastry restore: node id mismatch at " +
-                            id.short_hex() +
-                            " — reconstruction created different nodes");
-    }
-    bool alive = r.boolean();
-    if (alive && !n->alive_) {
-      throw ckpt::CkptError("pastry restore: node " + id.short_hex() +
-                            " is dead in the reconstruction but alive in the "
-                            "checkpoint");
-    }
-    n->alive_ = alive;  // re-kill nodes that had failed by checkpoint time
-    for (std::uint64_t& v : n->counters_.msgs_sent) v = r.u64();
-    for (std::uint64_t& v : n->counters_.bytes_sent) v = r.u64();
-    n->counters_.fault_dropped_msgs = r.u64();
-    n->counters_.fault_dup_msgs = r.u64();
-    n->ckpt_restore(r);
-  }
-  r.exit_section();
-}
+template void PastryNetwork::ckpt_io(ckpt::Writer&);
+template void PastryNetwork::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::pastry

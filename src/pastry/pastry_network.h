@@ -71,7 +71,6 @@ class PastryNetwork {
   /// exactly like a crash).
   void depart_node(const U128& id);
 
-  bool is_alive(const U128& id) const;
   PastryNode* find(const U128& id);
   const PastryNode* find(const U128& id) const;
   PastryNode& at(const U128& id);
@@ -151,12 +150,16 @@ class PastryNetwork {
   /// Serializes each node's liveness, traffic counters and protocol state.
   /// Must be called at a quiesce barrier; throws CkptError if
   /// wire_in_flight() != 0.
-  void ckpt_save(ckpt::Writer& w) const;
+  void ckpt_save(ckpt::Writer& w) const { ckpt::save(w, *this); }
 
   /// Restores the same per node.  The reconstruction must contain the same
   /// node ids (all alive — restore re-kills the dead ones); mismatches
   /// throw CkptError.
-  void ckpt_restore(ckpt::Reader& r);
+  void ckpt_restore(ckpt::Reader& r) { ckpt_io(r); }
+
+  /// The one layout behind ckpt_save and ckpt_restore.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   /// Creates node `id` on `host`; throws if the id is taken.

@@ -525,125 +525,75 @@ void PastryNode::handle_send_failure(const NodeHandle& dead,
   }
 }
 
-void PastryNode::ckpt_save(ckpt::Writer& w) const {
-  w.begin_section("node");
-  w.i64(next_maintenance_row_);
-  table_.ckpt_save(w);
-  leafs_.ckpt_save(w);
-  neighbors_.ckpt_save(w);
-  w.u64(next_reliable_seq_);
-  seen_reliable_.ckpt_save(w);
+template <class IO>
+void PastryNode::ckpt_io(IO& io) {
   sim::Simulator& sim = network_->simulator();
-  w.u32(static_cast<std::uint32_t>(pending_reliable_.size()));
-  for (const auto& [seq, p] : pending_reliable_) {
-    w.u64(seq);
-    w.u128(p.dest.id);
-    w.i64(p.dest.host);
-    ckpt::PayloadCodec::encode(w, *p.envelope);
-    w.i64(p.attempts);
-    w.f64(p.rto_s);
+  io.section("node", [&] {
+    io.i64(next_maintenance_row_);
+    table_.ckpt_io(io);
+    leafs_.ckpt_io(io);
+    neighbors_.ckpt_io(io);
+    io.u64(next_reliable_seq_);
+    seen_reliable_.ckpt_io(io);
+    io.loading([&] {
+      for (auto& [seq, p] : pending_reliable_) sim.cancel(p.timer);
+    });
     // At a quiesce barrier an unacked send always has an armed timer: it is
     // cancelled only together with erasure (ack / give-up / peer death).
-    w.f64(sim.event_time(p.timer));
-    w.u64(sim.event_seq(p.timer));
-  }
-  // Join retry + ring-presence sweep.  Invariants at a quiesce barrier:
-  // join_timer_ is armed iff join_bootstrap_ is valid, and scan_timer_ is
-  // armed (with a valid target) iff the sweep is active.
-  w.boolean(join_bootstrap_.valid());
-  if (join_bootstrap_.valid()) {
-    w.u128(join_bootstrap_.id);
-    w.i64(join_bootstrap_.host);
-    w.i64(join_attempts_);
-    w.f64(sim.event_time(join_timer_));
-    w.u64(sim.event_seq(join_timer_));
-  }
-  w.boolean(scan_started_);
-  w.boolean(scan_active_);
-  if (scan_active_) {
-    w.u128(scan_cursor_);
-    w.u128(scan_target_.id);
-    w.i64(scan_target_.host);
-    w.f64(sim.event_time(scan_timer_));
-    w.u64(sim.event_seq(scan_timer_));
-    w.u32(static_cast<std::uint32_t>(scan_candidates_.size()));
-    for (const auto& [d, n] : scan_candidates_) {
-      w.u128(n.id);
-      w.i64(n.host);
+    io.map(pending_reliable_, [&](std::uint64_t& seq, PendingReliable& p) {
+      io.u64(seq);
+      p.dest.ckpt_io(io);
+      ckpt::PayloadCodec::field(io, p.envelope);
+      io.loading([&] {
+        if (std::dynamic_pointer_cast<const internal::ReliableEnvelope>(
+                p.envelope) == nullptr) {
+          throw ckpt::CkptError(
+              "pastry node restore: pending-reliable entry does not decode "
+              "to a ReliableEnvelope");
+        }
+      });
+      io.i64(p.attempts);
+      io.f64(p.rto_s);
+      sim::ckpt_timer(io, sim, p.timer,
+                      [this, seq = seq] { retransmit_reliable(seq); });
+    });
+    // Join retry + ring-presence sweep.  Invariants at a quiesce barrier:
+    // join_timer_ is armed iff join_bootstrap_ is valid, and scan_timer_ is
+    // armed (with a valid target) iff the sweep is active.
+    io.loading([&] {
+      if (join_timer_ != sim::kInvalidEventId) sim.cancel(join_timer_);
+      join_timer_ = sim::kInvalidEventId;
+      join_bootstrap_ = NodeHandle{};
+      join_attempts_ = 0;
+      if (scan_timer_ != sim::kInvalidEventId) sim.cancel(scan_timer_);
+      scan_timer_ = sim::kInvalidEventId;
+      scan_target_ = NodeHandle{};
+      scan_cursor_ = U128{};
+      scan_candidates_.clear();
+    });
+    bool joining = join_bootstrap_.valid();
+    io.boolean(joining);
+    if (joining) {
+      join_bootstrap_.ckpt_io(io);
+      io.i64(join_attempts_);
+      sim::ckpt_timer(io, sim, join_timer_, [this] { retry_join(); });
     }
-  }
-  w.end_section();
+    io.boolean(scan_started_);
+    io.boolean(scan_active_);
+    if (scan_active_) {
+      io.u128(scan_cursor_);
+      scan_target_.ckpt_io(io);
+      sim::ckpt_timer(io, sim, scan_timer_, [this] { scan_step_timeout(); });
+      // Keyed by clockwise distance, which restore derives from the id.
+      io.map(scan_candidates_, [&](U128& dist, NodeHandle& n) {
+        n.ckpt_io(io);
+        io.loading([&] { dist = n.id - handle_.id; });
+      });
+    }
+  });
 }
 
-void PastryNode::ckpt_restore(ckpt::Reader& r) {
-  r.enter_section("node");
-  next_maintenance_row_ = static_cast<int>(r.i64());
-  table_.ckpt_restore(r);
-  leafs_.ckpt_restore(r);
-  neighbors_.ckpt_restore(r);
-  next_reliable_seq_ = r.u64();
-  seen_reliable_.ckpt_restore(r);
-  sim::Simulator& sim = network_->simulator();
-  for (auto& [seq, p] : pending_reliable_) sim.cancel(p.timer);
-  pending_reliable_.clear();
-  std::uint32_t pending_n = r.u32();
-  for (std::uint32_t i = 0; i < pending_n; ++i) {
-    std::uint64_t seq = r.u64();
-    PendingReliable p;
-    p.dest.id = r.u128();
-    p.dest.host = static_cast<net::HostId>(r.i64());
-    p.envelope = ckpt::PayloadCodec::decode(r);
-    if (std::dynamic_pointer_cast<const internal::ReliableEnvelope>(
-            p.envelope) == nullptr) {
-      throw ckpt::CkptError(
-          "pastry node restore: pending-reliable entry does not decode to a "
-          "ReliableEnvelope");
-    }
-    p.attempts = static_cast<int>(r.i64());
-    p.rto_s = r.f64();
-    double fire = r.f64();
-    std::uint64_t event_seq = r.u64();
-    p.timer = sim.schedule_at_with_seq(
-        fire, event_seq, [this, seq]() { retransmit_reliable(seq); });
-    pending_reliable_.emplace(seq, std::move(p));
-  }
-  if (join_timer_ != sim::kInvalidEventId) sim.cancel(join_timer_);
-  join_timer_ = sim::kInvalidEventId;
-  join_bootstrap_ = NodeHandle{};
-  join_attempts_ = 0;
-  if (r.boolean()) {
-    join_bootstrap_.id = r.u128();
-    join_bootstrap_.host = static_cast<net::HostId>(r.i64());
-    join_attempts_ = static_cast<int>(r.i64());
-    double fire = r.f64();
-    std::uint64_t event_seq = r.u64();
-    join_timer_ =
-        sim.schedule_at_with_seq(fire, event_seq, [this]() { retry_join(); });
-  }
-  if (scan_timer_ != sim::kInvalidEventId) sim.cancel(scan_timer_);
-  scan_timer_ = sim::kInvalidEventId;
-  scan_target_ = NodeHandle{};
-  scan_cursor_ = U128{};
-  scan_candidates_.clear();
-  scan_started_ = r.boolean();
-  scan_active_ = r.boolean();
-  if (scan_active_) {
-    scan_cursor_ = r.u128();
-    scan_target_.id = r.u128();
-    scan_target_.host = static_cast<net::HostId>(r.i64());
-    double fire = r.f64();
-    std::uint64_t event_seq = r.u64();
-    scan_timer_ = sim.schedule_at_with_seq(fire, event_seq,
-                                           [this]() { scan_step_timeout(); });
-    std::uint32_t n_cand = r.u32();
-    for (std::uint32_t i = 0; i < n_cand; ++i) {
-      NodeHandle n;
-      n.id = r.u128();
-      n.host = static_cast<net::HostId>(r.i64());
-      scan_candidates_.emplace(n.id - handle_.id, n);
-    }
-  }
-  r.exit_section();
-}
+template void PastryNode::ckpt_io(ckpt::Writer&);
+template void PastryNode::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::pastry

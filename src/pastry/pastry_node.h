@@ -180,15 +180,13 @@ class PastryNode {
   PastryNetwork& network() { return *network_; }
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  /// Serializes the three tables, the maintenance cursor, the reliable
-  /// channel (dedup windows plus every unacked envelope with its retransmit
-  /// timer's fire time/seq), and the join-retry / ring-sweep state.
-  /// Envelope payloads go through the ckpt::PayloadCodec registry.
-  void ckpt_save(ckpt::Writer& w) const;
-
-  /// Overwrites the same state and re-arms each retransmit timer at its
+  /// The three tables, the maintenance cursor, the reliable channel (dedup
+  /// windows plus every unacked envelope with its retransmit timer), and
+  /// the join-retry / ring-sweep state.  Envelope payloads go through the
+  /// ckpt::PayloadCodec registry; restore re-arms each timer at its
   /// original (fire time, event seq).
-  void ckpt_restore(ckpt::Reader& r);
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   // The transport flips alive_, charges counters_ and checkpoints both.

@@ -81,48 +81,59 @@ std::vector<NodeHandle> RoutingTable::row_entries(int row) const {
   return out;
 }
 
-void RoutingTable::ckpt_save(ckpt::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(populated_));
-  for (const Row& row : rows_) {
-    for (const RouteEntry& e : row) {
-      if (!e.node.valid()) continue;
-      w.u128(e.node.id);
-      w.i64(e.node.host);
-      w.i64(e.proximity);
+template <class IO>
+void RoutingTable::ckpt_io(IO& io) {
+  constexpr std::uint32_t kCells = kIdDigits * kIdBase;
+  auto n = static_cast<std::uint32_t>(populated_);
+  io.u32(n);
+  io.loading([&] {
+    if (n > kCells) {
+      throw ckpt::CkptError("routing table: " + std::to_string(n) +
+                            " entries exceed the " + std::to_string(kCells) +
+                            " cells");
+    }
+    rows_.clear();
+    populated_ = 0;
+  });
+  auto entry = [&](RouteEntry& e) {
+    std::int64_t host = e.node.host;
+    io.u128(e.node.id);
+    io.i64(host);
+    io.i64(e.proximity);
+    io.loading([&] {
+      if (e.node.id == owner_) {
+        throw ckpt::CkptError("routing table: entry is the owner itself");
+      }
+      if (host < 0 || host > std::numeric_limits<net::HostId>::max()) {
+        throw ckpt::CkptError("routing table: entry with an invalid host " +
+                              std::to_string(host));
+      }
+      e.node.host = static_cast<net::HostId>(host);
+      RouteEntry& cell = cell_for(e.node.id);
+      if (cell.node.valid()) {
+        throw ckpt::CkptError("routing table: two entries in one cell");
+      }
+      cell = e;
+      ++populated_;
+    });
+  };
+  // Save walks the populated cells; restore places each entry it reads in
+  // the cell its id selects.
+  if constexpr (IO::kLoading) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      RouteEntry e;
+      entry(e);
+    }
+  } else {
+    for (Row& row : rows_) {
+      for (RouteEntry& e : row) {
+        if (e.node.valid()) entry(e);
+      }
     }
   }
 }
 
-void RoutingTable::ckpt_restore(ckpt::Reader& r) {
-  constexpr std::uint32_t kCells = kIdDigits * kIdBase;
-  std::uint32_t n = r.u32();
-  if (n > kCells) {
-    throw ckpt::CkptError("routing table: " + std::to_string(n) +
-                          " entries exceed the " + std::to_string(kCells) +
-                          " cells");
-  }
-  rows_.clear();
-  populated_ = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    RouteEntry e;
-    e.node.id = r.u128();
-    std::int64_t host = r.i64();
-    e.proximity = static_cast<int>(r.i64());
-    if (e.node.id == owner_) {
-      throw ckpt::CkptError("routing table: entry is the owner itself");
-    }
-    if (host < 0 || host > std::numeric_limits<net::HostId>::max()) {
-      throw ckpt::CkptError("routing table: entry with an invalid host " +
-                            std::to_string(host));
-    }
-    e.node.host = static_cast<net::HostId>(host);
-    RouteEntry& cell = cell_for(e.node.id);
-    if (cell.node.valid()) {
-      throw ckpt::CkptError("routing table: two entries in one cell");
-    }
-    cell = e;
-    ++populated_;
-  }
-}
+template void RoutingTable::ckpt_io(ckpt::Writer&);
+template void RoutingTable::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::pastry

@@ -96,11 +96,14 @@ class RoutingTable {
   // --- checkpoint/restore (src/ckpt) -------------------------------------
   /// Writes the populated count, then (id, host, proximity) per entry in
   /// row-major order: 4 + 32 * size() bytes.
-  void ckpt_save(ckpt::Writer& w) const;
+  void ckpt_save(ckpt::Writer& w) const { ckpt::save(w, *this); }
   /// Rebuilds the table, placing each entry in the cell its id selects.
   /// Refuses a count above 512, an entry equal to the owner or with an
   /// invalid host, and two entries in one cell.
-  void ckpt_restore(ckpt::Reader& r);
+  void ckpt_restore(ckpt::Reader& r) { ckpt_io(r); }
+  /// The one layout behind ckpt_save and ckpt_restore.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   using Row = std::array<RouteEntry, kIdBase>;

@@ -143,11 +143,11 @@ class ScribeNode : public pastry::PastryApp {
   const pastry::PastryNode& owner() const { return *owner_; }
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  /// Serializes every group's tree state (all plain data: Scribe owns no
-  /// one-shot timers — JOIN retry is a deadline field scanned by the
-  /// periodic maintenance() tick).  Implemented in scribe_ckpt.cc.
-  void ckpt_save(ckpt::Writer& w) const;
-  void ckpt_restore(ckpt::Reader& r);
+  /// Every group's tree state (all plain data: Scribe owns no one-shot
+  /// timers — JOIN retry is a deadline field scanned by the periodic
+  /// maintenance() tick).  Implemented in scribe_ckpt.cc.
+  template <class IO>
+  void ckpt_io(IO& io);
 
   // --- PastryApp interface ----------------------------------------------
   void deliver(pastry::PastryNode& self, const pastry::RouteMsg& msg) override;

@@ -94,10 +94,13 @@ class FaultPlan {
   /// (seed, plan)" object for a bit-identical replay.
   FaultPlan fresh() const;
 
-  /// Checkpoint accessors for the plan's Rng, the only state decide()
-  /// mutates.
+  /// The plan's Rng, the only state decide() mutates: its state, and its
+  /// checkpoint layout.
   Rng::State ckpt_rng_state() const { return rng_.ckpt_state(); }
-  void ckpt_restore_rng(const Rng::State& s) { rng_.ckpt_restore(s); }
+  template <class IO>
+  void ckpt_io(IO& io) {
+    rng_.ckpt_io(io);
+  }
 
   std::uint64_t seed() const { return seed_; }
   const std::vector<FaultWindow>& windows() const { return windows_; }

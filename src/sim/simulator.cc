@@ -102,86 +102,70 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::ckpt_save(ckpt::Writer& w) const {
-  w.begin_section("sim");
-  w.f64(now_);
-  w.u64(executed_);
-  w.u64(queue_.total_pushed());
-  w.u64(queue_.total_cancelled());
-  w.u32(static_cast<std::uint32_t>(periodic_.size()));
-  for (const PeriodicTask& t : periodic_) {
-    w.boolean(t.active);
-    if (!t.active) continue;
-    w.f64(t.period);
-    w.f64(t.until);
-    bool armed = t.pending != kInvalidEventId && queue_.pending(t.pending);
-    w.boolean(armed);
-    if (armed) {
-      w.f64(queue_.event_time(t.pending));
-      w.u64(queue_.event_seq(t.pending));
+template <class IO>
+void Simulator::ckpt_io(IO& io) {
+  io.section("sim", [&] {
+    std::uint64_t scheduled = queue_.total_pushed();
+    std::uint64_t cancelled = queue_.total_cancelled();
+    io.f64(now_);
+    io.u64(executed_);
+    io.u64(scheduled);
+    io.u64(cancelled);
+    auto slots = static_cast<std::uint32_t>(periodic_.size());
+    io.u32(slots);
+    io.loading([&] {
+      if (slots != periodic_.size()) {
+        throw ckpt::CkptError(
+            "sim restore: periodic slab size " +
+            std::to_string(periodic_.size()) + " does not match checkpoint " +
+            std::to_string(slots) +
+            " — reconstruction did not replay the original setup sequence");
+      }
+      queue_.clear_pending();
+    });
+    for (std::uint32_t slot = 0; slot < slots; ++slot) {
+      PeriodicTask& t = periodic_[slot];
+      bool active = t.active;
+      io.boolean(active);
+      if (!active) {
+        io.loading([&] {
+          if (!t.active) return;
+          // The original run had retired this task (until-expiry or a false
+          // return) by checkpoint time; retire the reconstruction's copy
+          // too.  The free list is overwritten wholesale below.
+          t.action.reset();
+          t.pending = kInvalidEventId;
+          t.active = false;
+          ++t.gen;
+        });
+        continue;
+      }
+      SimTime period = t.period;
+      SimTime until = t.until;
+      bool armed = t.pending != kInvalidEventId && queue_.pending(t.pending);
+      io.f64(period);
+      io.f64(until);
+      io.boolean(armed);
+      io.loading([&] {
+        if (!t.active || t.period != period || t.until != until) {
+          throw ckpt::CkptError(
+              "sim restore: periodic slot " + std::to_string(slot) +
+              " does not match the checkpoint (missing or different "
+              "period/until) — reconstruction drift");
+        }
+        t.pending = kInvalidEventId;
+      });
+      if (armed) {
+        ckpt_timer(io, *this, t.pending,
+                   [this, slot, gen = t.gen] { periodic_fire(slot, gen); });
+      }
     }
-  }
-  w.u32(static_cast<std::uint32_t>(periodic_free_.size()));
-  for (std::uint32_t s : periodic_free_) w.u32(s);
-  w.end_section();
+    io.seq(periodic_free_, [&](std::uint32_t& s) { io.u32(s); });
+    io.loading([&] { queue_.restore_counters(scheduled, cancelled); });
+  });
 }
 
-void Simulator::ckpt_restore(ckpt::Reader& r) {
-  r.enter_section("sim");
-  SimTime now = r.f64();
-  std::uint64_t executed = r.u64();
-  std::uint64_t scheduled = r.u64();
-  std::uint64_t cancelled = r.u64();
-  std::uint32_t slots = r.u32();
-  if (slots != periodic_.size()) {
-    throw ckpt::CkptError(
-        "sim restore: periodic slab size " + std::to_string(periodic_.size()) +
-        " does not match checkpoint " + std::to_string(slots) +
-        " — reconstruction did not replay the original setup sequence");
-  }
-  queue_.clear_pending();
-  now_ = now;
-  for (std::uint32_t slot = 0; slot < slots; ++slot) {
-    PeriodicTask& t = periodic_[slot];
-    bool active = r.boolean();
-    if (!active) {
-      if (t.active) {
-        // The original run had retired this task (until-expiry or a false
-        // return) by checkpoint time; retire the reconstruction's copy too.
-        // The free list is overwritten wholesale below.
-        t.action.reset();
-        t.pending = kInvalidEventId;
-        t.active = false;
-        ++t.gen;
-      }
-      continue;
-    }
-    SimTime period = r.f64();
-    SimTime until = r.f64();
-    bool armed = r.boolean();
-    if (!t.active || t.period != period || t.until != until) {
-      throw ckpt::CkptError(
-          "sim restore: periodic slot " + std::to_string(slot) +
-          " does not match the checkpoint (missing or different "
-          "period/until) — reconstruction drift");
-    }
-    if (armed) {
-      SimTime fire = r.f64();
-      std::uint64_t seq = r.u64();
-      std::uint32_t gen = t.gen;
-      t.pending = queue_.push_with_seq(
-          fire, seq, [this, slot, gen] { periodic_fire(slot, gen); });
-    } else {
-      t.pending = kInvalidEventId;
-    }
-  }
-  std::uint32_t free_n = r.u32();
-  periodic_free_.clear();
-  periodic_free_.reserve(free_n);
-  for (std::uint32_t i = 0; i < free_n; ++i) periodic_free_.push_back(r.u32());
-  queue_.restore_counters(scheduled, cancelled);
-  executed_ = executed;
-  r.exit_section();
-}
+template void Simulator::ckpt_io(ckpt::Writer&);
+template void Simulator::ckpt_io(ckpt::Reader&);
 
 }  // namespace vb::sim

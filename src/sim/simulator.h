@@ -125,8 +125,9 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
 
   /// Serializes the clock, the event counters, and the periodic slab.
-  /// One-shot timers are serialized by the components that own them.
-  void ckpt_save(ckpt::Writer& w) const;
+  /// One-shot timers are serialized by the components that own them (see
+  /// ckpt_timer below).
+  void ckpt_save(ckpt::Writer& w) const { ckpt::save(w, *this); }
 
   /// Discards every pending event from the reconstruction, restores the
   /// clock/counters, and re-arms each periodic tick at its original
@@ -135,7 +136,11 @@ class Simulator {
   /// size, period, or until throws CkptError.  After this call the owning
   /// components must re-arm their one-shot timers via
   /// schedule_at_with_seq(); until then the queue holds only periodics.
-  void ckpt_restore(ckpt::Reader& r);
+  void ckpt_restore(ckpt::Reader& r) { ckpt_io(r); }
+
+  /// The one layout behind ckpt_save and ckpt_restore.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   // One recurring task, stored in a recycled slab so a periodic's action is
@@ -158,5 +163,23 @@ class Simulator {
   std::vector<PeriodicTask> periodic_;
   std::vector<std::uint32_t> periodic_free_;
 };
+
+/// Checkpoints one armed one-shot timer of a component: writes its (fire
+/// time, seq) on save; on restore reads them and re-arms `fire` at exactly
+/// that (time, seq), storing the new ticket in `timer`.
+template <class IO, class F>
+void ckpt_timer(IO& io, Simulator& sim, EventId& timer, F&& fire) {
+  SimTime at = 0.0;
+  std::uint64_t seq = 0;
+  if constexpr (!IO::kLoading) {
+    at = sim.event_time(timer);
+    seq = sim.event_seq(timer);
+  }
+  io.f64(at);
+  io.u64(seq);
+  io.loading([&] {
+    timer = sim.schedule_at_with_seq(at, seq, std::forward<F>(fire));
+  });
+}
 
 }  // namespace vb::sim

@@ -181,6 +181,9 @@ class VBundleCloud {
  private:
   BootResult boot_near_key(host::CustomerId c, const host::VmSpec& spec,
                            const U128& key);
+  /// The one layout behind save_checkpoint and restore_checkpoint.
+  template <class IO>
+  void ckpt_io(IO& io);
 
   CloudConfig cfg_;
   sim::Simulator sim_;

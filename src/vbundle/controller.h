@@ -169,12 +169,12 @@ class VBundleAgent : public pastry::PastryApp,
   void shuffle_migration_done(const ShuffleRecord& rec) override;
 
   // --- checkpoint/restore (src/ckpt) --------------------------------------
-  /// Serializes role, cluster globals, pending demand bookkeeping, shed-loop
-  /// state, receiver holds, stats, and every armed one-shot timer (query
-  /// timeouts — including stale ones awaiting their no-op fire — and accept
-  /// leases).  Throws CkptError if a boot placement is in flight.
-  void ckpt_save(ckpt::Writer& w) const;
-  void ckpt_restore(ckpt::Reader& r);
+  /// Role, cluster globals, pending demand bookkeeping, shed-loop state,
+  /// receiver holds, stats, and every armed one-shot timer (query timeouts —
+  /// including stale ones awaiting their no-op fire — and accept leases).
+  /// Saving throws CkptError if a boot placement is in flight.
+  template <class IO>
+  void ckpt_io(IO& io);
 
  private:
   // placement.cc

@@ -65,55 +65,39 @@ void MigrationManager::finish_shuffle(host::VmId vm) {
   inf.client->shuffle_migration_done(inf.rec);
 }
 
-void MigrationManager::ckpt_save(ckpt::Writer& w) const {
-  w.begin_section("migration");
-  w.u64(started_);
-  w.u64(completed_);
-  w.f64(total_downtime_s_);
-  w.f64(total_megabits_);
-  w.u32(static_cast<std::uint32_t>(shuffles_.size()));
-  for (const auto& [vm, inf] : shuffles_) {
-    w.i64(inf.rec.vm);
-    w.i64(inf.rec.dst_host);
-    w.i64(inf.rec.src_host);
-    w.f64(inf.rec.moved_demand);
-    w.f64(inf.rec.moved_cpu);
-    w.u64(inf.rec.trace);
-    w.f64(sim_->event_time(inf.timer));
-    w.u64(sim_->event_seq(inf.timer));
-  }
-  w.end_section();
+template <class IO>
+void MigrationManager::ckpt_io(
+    IO& io, const std::function<ShuffleClient*(int)>& resolve) {
+  io.section("migration", [&] {
+    io.u64(started_);
+    io.u64(completed_);
+    io.f64(total_downtime_s_);
+    io.f64(total_megabits_);
+    io.map(shuffles_, [&](host::VmId& vm, InFlightShuffle& inf) {
+      ShuffleRecord& rec = inf.rec;
+      io.i64(rec.vm);
+      io.i64(rec.dst_host);
+      io.i64(rec.src_host);
+      io.f64(rec.moved_demand);
+      io.f64(rec.moved_cpu);
+      io.u64(rec.trace);
+      io.loading([&] {
+        vm = rec.vm;
+        inf.client = resolve(rec.src_host);
+        if (inf.client == nullptr) {
+          throw ckpt::CkptError("migration: no shuffle client for host " +
+                                std::to_string(rec.src_host));
+        }
+      });
+      sim::ckpt_timer(io, *sim_, inf.timer,
+                      [this, vm = rec.vm] { finish_shuffle(vm); });
+    });
+  });
 }
 
-void MigrationManager::ckpt_restore(
-    ckpt::Reader& r, const std::function<ShuffleClient*(int)>& resolve) {
-  r.enter_section("migration");
-  started_ = r.u64();
-  completed_ = r.u64();
-  total_downtime_s_ = r.f64();
-  total_megabits_ = r.f64();
-  shuffles_.clear();
-  std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    InFlightShuffle inf;
-    inf.rec.vm = static_cast<host::VmId>(r.i64());
-    inf.rec.dst_host = static_cast<int>(r.i64());
-    inf.rec.src_host = static_cast<int>(r.i64());
-    inf.rec.moved_demand = r.f64();
-    inf.rec.moved_cpu = r.f64();
-    inf.rec.trace = r.u64();
-    sim::SimTime fire = r.f64();
-    std::uint64_t seq = r.u64();
-    inf.client = resolve(inf.rec.src_host);
-    if (inf.client == nullptr) {
-      throw ckpt::CkptError("migration: no shuffle client for host " +
-                            std::to_string(inf.rec.src_host));
-    }
-    inf.timer = sim_->schedule_at_with_seq(
-        fire, seq, [this, vm = inf.rec.vm]() { finish_shuffle(vm); });
-    shuffles_[inf.rec.vm] = inf;
-  }
-  r.exit_section();
-}
+template void MigrationManager::ckpt_io(
+    ckpt::Writer&, const std::function<ShuffleClient*(int)>&);
+template void MigrationManager::ckpt_io(
+    ckpt::Reader&, const std::function<ShuffleClient*(int)>&);
 
 }  // namespace vb::core

@@ -83,13 +83,12 @@ class MigrationManager {
   double total_megabits_moved() const { return total_megabits_; }
 
   // --- checkpoint/restore (src/ckpt) -------------------------------------
-  /// Serializes counters and every in-flight shuffle migration (record plus
-  /// its completion timer's (fire_time, event_seq)).
-  void ckpt_save(ckpt::Writer& w) const;
-  /// `resolve` maps a ShuffleRecord::src_host to its completion sink (the
-  /// reconstructed agent on that host).
-  void ckpt_restore(ckpt::Reader& r,
-                    const std::function<ShuffleClient*(int)>& resolve);
+  /// Counters and every in-flight shuffle migration (record plus its
+  /// completion timer).  On restore `resolve` maps a
+  /// ShuffleRecord::src_host to its completion sink (the reconstructed
+  /// agent on that host).
+  template <class IO>
+  void ckpt_io(IO& io, const std::function<ShuffleClient*(int)>& resolve);
 
  private:
   struct InFlightShuffle {

@@ -36,25 +36,20 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
 
 /// A routed token names its origin, which the receiver acks it back to.
 struct TokenPayload : pastry::Payload {
+  TokenPayload() = default;
   TokenPayload(std::uint64_t t, pastry::NodeHandle o) : token(t), origin(o) {}
   std::size_t wire_bytes() const override { return 48; }
   std::string name() const override { return "test.bulk_token"; }
-  std::uint64_t token;
+  std::uint64_t token = 0;
   pastry::NodeHandle origin;
 };
 
 void register_codecs() {
   pastry::register_ckpt_payload_codecs();
-  ckpt::PayloadCodec::add(
-      "test.bulk_token",
-      [](ckpt::Writer& w, const pastry::Payload& p) {
-        const auto& t = ckpt::payload_cast<TokenPayload>(p);
-        w.u64(t.token);
-        ckpt::put_handle(w, t.origin);
-      },
-      [](ckpt::Reader& r) -> pastry::PayloadPtr {
-        std::uint64_t token = r.u64();
-        return std::make_shared<TokenPayload>(token, ckpt::get_handle(r));
+  ckpt::PayloadCodec::add<TokenPayload>(
+      "test.bulk_token", [](auto& io, TokenPayload& t) {
+        io.u64(t.token);
+        t.origin.ckpt_io(io);
       });
 }
 

@@ -7,6 +7,7 @@
 // accept leases, live migrations, retransmit queues) rides the image.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -38,21 +39,22 @@ core::CloudConfig make_config(std::uint64_t seed) {
   return cfg;
 }
 
-sim::FaultPlan make_fault_plan(std::uint64_t seed) {
+sim::FaultPlan make_fault_plan(std::uint64_t seed, double loss) {
   sim::FaultPlan plan(seed);
   // Windows straddle the checkpoint so the serial decide() Rng stream is
   // mid-flight in the image.
-  plan.uniform_loss(0.02, 1495.0, 1560.0).uniform_duplication(0.02, 1495.0, 1560.0);
+  plan.uniform_loss(loss, 1495.0, 1560.0).uniform_duplication(0.02, 1495.0, 1560.0);
   return plan;
 }
 
 /// Deterministic setup shared by all three run shapes.  Does not run the
 /// simulator beyond what the cloud constructor and boot-less placement do.
 struct World {
-  explicit World(std::uint64_t seed, bool with_faults, bool place_vms)
+  explicit World(std::uint64_t seed, bool with_faults, bool place_vms,
+                 double loss = 0.02)
       : cloud(make_config(seed)) {
     if (with_faults) {
-      plan.emplace(make_fault_plan(seed));
+      plan.emplace(make_fault_plan(seed, loss));
       cloud.pastry().set_fault_plan(&*plan);
     }
     cloud.set_trace_recorder(&trace);
@@ -133,14 +135,17 @@ void expect_same_outcome(const Outcome& a, const Outcome& b,
   }
 }
 
-void run_resume_matrix(std::uint64_t seed, bool with_faults) {
+/// Runs the three shapes and returns the checkpoint image they share.
+std::vector<std::uint8_t> run_resume_matrix(std::uint64_t seed,
+                                            bool with_faults,
+                                            double loss = 0.02) {
   // Shape 1: never interrupted.
-  World uninterrupted(seed, with_faults, /*place_vms=*/true);
+  World uninterrupted(seed, with_faults, /*place_vms=*/true, loss);
   Outcome base = finish(uninterrupted);
 
   // Shape 2: same run, but a checkpoint is taken mid-flight.  Saving must
   // not perturb anything downstream.
-  World saver(seed, with_faults, /*place_vms=*/true);
+  World saver(seed, with_faults, /*place_vms=*/true, loss);
   saver.cloud.run_until(kSaveAt);
   std::vector<std::uint8_t> image = saver.cloud.save_checkpoint();
   EXPECT_FALSE(image.empty());
@@ -150,18 +155,43 @@ void run_resume_matrix(std::uint64_t seed, bool with_faults) {
   // Shape 3: a fresh world restores the image and runs to the end.  The
   // reconstruction replays the deterministic setup but skips VM placement —
   // the fleet section carries it.
-  World restored(seed, with_faults, /*place_vms=*/false);
+  World restored(seed, with_faults, /*place_vms=*/false, loss);
   restored.cloud.restore_checkpoint(image);
   Outcome resumed = finish(restored);
   expect_same_outcome(base, resumed, "restored vs uninterrupted");
 
   // The scenario must actually have had shuffle machinery in flight.
   EXPECT_NE(base.metrics_json.find("vbundle.queries_sent"), std::string::npos);
+  return image;
+}
+
+/// True if `image` holds `name` as the payload codecs write it: a u32
+/// length, then the bytes.
+bool holds_payload(const std::vector<std::uint8_t>& image,
+                   const std::string& name) {
+  std::vector<std::uint8_t> needle;
+  for (int i = 0; i < 4; ++i) {
+    needle.push_back(static_cast<std::uint8_t>(name.size() >> (8 * i)));
+  }
+  needle.insert(needle.end(), name.begin(), name.end());
+  return std::search(image.begin(), image.end(), needle.begin(),
+                     needle.end()) != image.end();
 }
 
 TEST(CkptResume, BitIdenticalWithoutFaultPlan) { run_resume_matrix(42, false); }
 
 TEST(CkptResume, BitIdenticalUnderFaultPlan) { run_resume_matrix(42, true); }
+
+TEST(CkptResume, BitIdenticalWithPendingEnvelopes) {
+  // At 20% loss the save point holds unacked reliable sends of every layer
+  // that has a codec: the envelope, Scribe walks, heartbeats and anycast
+  // replies, and the v-Bundle query a walk carries.
+  std::vector<std::uint8_t> image = run_resume_matrix(42, true, 0.2);
+  for (const char* name : {"pastry.rel", "scribe.walk", "scribe.heartbeat",
+                           "scribe.anycast_ok", "vbundle.lb_query"}) {
+    EXPECT_TRUE(holds_payload(image, name)) << name;
+  }
+}
 
 TEST(CkptResume, SecondSeedAlsoResumesBitIdentically) {
   run_resume_matrix(1234567, false);

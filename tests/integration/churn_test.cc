@@ -71,7 +71,7 @@ TEST(Churn, OverlayAndGroupsSurviveContinuousMembershipChange) {
     // Graceful departure of a random live node (not the bootstrap).
     for (int tries = 0; tries < 10; ++tries) {
       U128 victim = live_ids[rng.index(live_ids.size())];
-      if (victim == bootstrap.id || !net.is_alive(victim)) continue;
+      if (victim == bootstrap.id || net.find(victim) == nullptr) continue;
       net.depart_node(victim);
       break;
     }
@@ -80,7 +80,7 @@ TEST(Churn, OverlayAndGroupsSurviveContinuousMembershipChange) {
     // Crash another (no goodbye).
     for (int tries = 0; tries < 10; ++tries) {
       U128 victim = live_ids[rng.index(live_ids.size())];
-      if (victim == bootstrap.id || !net.is_alive(victim)) continue;
+      if (victim == bootstrap.id || net.find(victim) == nullptr) continue;
       net.kill_node(victim);
       break;
     }
@@ -156,7 +156,7 @@ TEST(Churn, AggregationTotalsTrackMembershipUnderChurn) {
       for (scribe::ScribeNode* s : scribe.nodes()) s->maintenance();
       sim.run_to_completion();
       for (auto& a : agents) {
-        if (net.is_alive(a->scribe().owner().id())) a->tick(topic);
+        if (net.find(a->scribe().owner().id()) != nullptr) a->tick(topic);
       }
       sim.run_to_completion();
     }
@@ -175,7 +175,7 @@ TEST(Churn, AggregationTotalsTrackMembershipUnderChurn) {
   }
   run_rounds(8);
   for (auto& a : agents) {
-    if (!net.is_alive(a->scribe().owner().id())) continue;
+    if (net.find(a->scribe().owner().id()) == nullptr) continue;
     ASSERT_TRUE(a->topic(topic)->has_global());
     EXPECT_DOUBLE_EQ(a->topic(topic)->global().sum, 27.0)
         << a->scribe().owner().handle().to_string();

@@ -74,12 +74,12 @@ struct Harness {
 
 TEST(DepartRace, DeadImmediatelyAfterDepartReturns) {
   Harness hx;
-  EXPECT_TRUE(hx.net.is_alive(hx.ids[3]));
+  EXPECT_TRUE(hx.net.find(hx.ids[3]) != nullptr);
   hx.net.depart_node(hx.ids[3]);
   // No grace window: the node is gone before a single event runs.
-  EXPECT_FALSE(hx.net.is_alive(hx.ids[3]));
+  EXPECT_FALSE(hx.net.find(hx.ids[3]) != nullptr);
   hx.sim.run_to_completion();
-  EXPECT_FALSE(hx.net.is_alive(hx.ids[3]));
+  EXPECT_FALSE(hx.net.find(hx.ids[3]) != nullptr);
 }
 
 TEST(DepartRace, DirectMessageRacingFarewellBouncesToSender) {

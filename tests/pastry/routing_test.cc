@@ -241,7 +241,7 @@ TEST(Routing, SurvivesNodeFailures) {
     // Note: global_closest is evaluated after all failures, which is the
     // steady-state owner the repaired overlay must converge on.
     EXPECT_EQ(d.at, hx.net.global_closest(keys[static_cast<std::size_t>(d.tag)]));
-    EXPECT_TRUE(hx.net.is_alive(d.at.id));
+    EXPECT_TRUE(hx.net.find(d.at.id) != nullptr);
   }
 }
 
@@ -332,7 +332,7 @@ TEST(Routing, GracefulDepartureNeedsNoFailureDetection) {
   for (int i = 0; i < 10; ++i) leaving.push_back(nodes[6 * i + 1]->id());
   for (const U128& id : leaving) hx.net.depart_node(id);
   hx.sim.run_to_completion();
-  for (const U128& id : leaving) EXPECT_FALSE(hx.net.is_alive(id));
+  for (const U128& id : leaving) EXPECT_FALSE(hx.net.find(id) != nullptr);
 
   // Survivors have already purged the departed: no live node references
   // them in its leaf set.

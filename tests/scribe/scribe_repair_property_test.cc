@@ -54,7 +54,9 @@ struct Fixture {
     }
   }
 
-  bool alive(int h) { return net.is_alive(ids[static_cast<std::size_t>(h)]); }
+  bool alive(int h) {
+    return net.find(ids[static_cast<std::size_t>(h)]) != nullptr;
+  }
 
   /// One protocol round: Scribe maintenance + an aggregation tick on every
   /// surviving agent, then 30 simulated seconds for the traffic (including

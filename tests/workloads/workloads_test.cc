@@ -1,4 +1,4 @@
-// Demand profiles, the SIPp call model, iperf pairs, and scenario builders.
+// Demand profiles, the SIPp call model, and scenario builders.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,7 +7,6 @@
 
 #include "common/stats.h"
 #include "workloads/demand.h"
-#include "workloads/iperf_model.h"
 #include "workloads/scenario.h"
 #include "workloads/sip_model.h"
 
@@ -208,31 +207,6 @@ TEST(Sip, FinishedAfterTotalCalls) {
   sip.step(sip.demand_mbps(0));  // 800 calls
   sip.step(sip.demand_mbps(1));  // +810
   EXPECT_TRUE(sip.finished());
-}
-
-TEST(Iperf, FlowsFollowVmPlacement) {
-  host::Fleet f(4, 1000.0);
-  host::VmId c = f.create_vm(0, host::VmSpec{100, 800});
-  host::VmId s = f.create_vm(0, host::VmSpec{100, 800});
-  ASSERT_TRUE(f.place(c, 0));
-  ASSERT_TRUE(f.place(s, 3));
-  std::vector<IperfPair> pairs{{c, s, 600.0}};
-  apply_iperf_demand(f, pairs);
-  EXPECT_DOUBLE_EQ(f.vm(c).demand_mbps, 600.0);
-  auto flows = iperf_flows(f, pairs);
-  ASSERT_EQ(flows.size(), 1u);
-  EXPECT_EQ(flows[0].src, 0);
-  EXPECT_EQ(flows[0].dst, 3);
-  EXPECT_DOUBLE_EQ(flows[0].demand_mbps, 600.0);
-}
-
-TEST(Iperf, UnplacedEndpointsSkipped) {
-  host::Fleet f(2, 1000.0);
-  host::VmId c = f.create_vm(0, host::VmSpec{100, 800});
-  host::VmId s = f.create_vm(0, host::VmSpec{100, 800});
-  ASSERT_TRUE(f.place(c, 0));
-  std::vector<IperfPair> pairs{{c, s, 600.0}};
-  EXPECT_TRUE(iperf_flows(f, pairs).empty());
 }
 
 TEST(Scenario, PaperCustomersAreTheFigure7Five) {
