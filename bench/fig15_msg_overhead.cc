@@ -36,8 +36,8 @@ Overhead run(int pods, int racks, int hosts, std::uint64_t seed) {
     for (int i = 0; i < 8; ++i) {
       host::VmId v = cloud.fleet().create_vm(c, host::VmSpec{20.0, 150.0});
       cloud.fleet().place(v, h);
-      model.assign(v, std::make_unique<load::RandomSlotDemand>(
-                           0.0, 140.0, 300.0, rng.next_u64()));
+      model.assign(v, load::Demand::random_slot(0.0, 140.0, 300.0,
+                                                rng.next_u64()));
     }
   }
   cloud.attach_demand_model(&model, 300.0);

@@ -43,6 +43,7 @@ void AggregationAgent::unsubscribe(const TopicId& topic) {
   } else {
     topics_.erase(it);
     pending_since_.erase(topic);
+    pending_trace_.erase(topic);
   }
 }
 
@@ -195,12 +196,6 @@ void AggregationAgent::on_children_changed(scribe::ScribeNode& self,
   keep.reserve(st->children.size());
   for (const pastry::NodeHandle& c : st->children) keep.push_back(c.id);
   it->second.retain_children(keep);
-}
-
-void AggregationAgent::on_parent_changed(scribe::ScribeNode& self,
-                                         const scribe::GroupId& group) {
-  (void)self;
-  (void)group;  // next propagate() naturally uses the new parent
 }
 
 template <class IO>

@@ -105,8 +105,6 @@ class AggregationAgent : public pastry::PastryApp, public scribe::ScribeApp {
   // --- ScribeApp ---------------------------------------------------------
   void on_children_changed(scribe::ScribeNode& self,
                            const scribe::GroupId& group) override;
-  void on_parent_changed(scribe::ScribeNode& self,
-                         const scribe::GroupId& group) override;
 
  private:
   TopicManager& manager(const TopicId& topic);

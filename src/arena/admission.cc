@@ -12,9 +12,8 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 }
 
 AdmissionController::AdmissionController(core::VBundleCloud* cloud,
-                                         Embedder* embedder,
-                                         load::DemandModel* demand, Config cfg)
-    : cloud_(cloud), embedder_(embedder), demand_(demand), cfg_(cfg) {
+                                         Embedder* embedder, Config cfg)
+    : cloud_(cloud), embedder_(embedder), cfg_(cfg) {
   if (cloud == nullptr || embedder == nullptr) {
     throw std::invalid_argument("AdmissionController: null cloud/embedder");
   }
@@ -70,13 +69,6 @@ bool AdmissionController::offer(const VcRequest& req) {
   stats_.vms_accepted += o.vms.size();
   stats_.revenue += p;
 
-  if (demand_ != nullptr && req.shape.kind != ProfileKind::kNone) {
-    for (std::size_t i = 0; i < o.vms.size(); ++i) {
-      demand_->assign(o.vms[i], make_vm_profile(req.shape,
-                                                static_cast<int>(i),
-                                                req.n_vms));
-    }
-  }
   std::vector<host::VmId>& tenant_vms = placed_[req.tenant];
   tenant_vms.insert(tenant_vms.end(), o.vms.begin(), o.vms.end());
 
@@ -122,16 +114,24 @@ int AdmissionController::process_departures(double now, double retry_s) {
       deferred.emplace_back(b.depart_s, id);
       continue;
     }
-    for (host::VmId v : b.outcome.vms) {
-      if (demand_ != nullptr) demand_->unassign(v);
-      cloud_->shutdown_vm(v);
-    }
+    for (host::VmId v : b.outcome.vms) cloud_->shutdown_vm(v);
     embedder_->release(b.outcome);
     active_.erase(id);
     ++done;
   }
   departures_.insert(deferred.begin(), deferred.end());
   return done;
+}
+
+void AdmissionController::apply_demand(double t) {
+  host::Fleet& fleet = cloud_->fleet();
+  for (const auto& [id, b] : active_) {
+    if (b.shape.kind == load::Demand::Kind::kNone) continue;
+    for (std::size_t i = 0; i < b.outcome.vms.size(); ++i) {
+      fleet.set_demand(b.outcome.vms[i],
+                       vm_demand(b.shape, static_cast<int>(i), b.n_vms).at(t));
+    }
+  }
 }
 
 Embedder* AdmissionController::set_embedder(Embedder* e) {
@@ -220,16 +220,7 @@ void AdmissionController::ckpt_io(IO& io) {
         io.loading([&] {
           id = b.request_id;
           b.outcome.ok = true;
-          // Rebuild the externally-held state the cloud image doesn't
-          // carry: demand profiles (deterministic from the shape) and
-          // uplink ledgers.
-          if (demand_ != nullptr && b.shape.kind != ProfileKind::kNone) {
-            for (std::size_t v = 0; v < b.outcome.vms.size(); ++v) {
-              demand_->assign(b.outcome.vms[v],
-                              make_vm_profile(b.shape, static_cast<int>(v),
-                                              b.n_vms));
-            }
-          }
+          // Rebuild the uplink ledgers, which the cloud image doesn't carry.
           embedder_->reacquire(b.outcome);
           departures_.emplace(b.depart_s, b.request_id);
         });

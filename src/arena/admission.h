@@ -4,9 +4,9 @@
 // "Opposites Attract" revenue model), asks the configured embedder whether
 // it is placeable, and books revenue on acceptance.  Tracks per-tenant SLO
 // streaks (a tenant rejected `slo_reject_streak` times in a row counts one
-// SLO violation), keeps every live bundle with its departure time, and
-// tears bundles down — VMs destroyed, demand profiles dropped, uplink
-// ledgers released — when their lifetime expires.
+// SLO violation), keeps every live bundle with its departure time and
+// demand shape, and tears bundles down — VMs destroyed, uplink ledgers
+// released — when their lifetime expires.
 //
 // Everything here is deterministic bookkeeping: the accept/reject sequence
 // is a pure function of (request stream, embedder, fleet state), and the
@@ -22,7 +22,6 @@
 
 #include "arena/embedder.h"
 #include "arena/request.h"
-#include "workloads/demand.h"
 
 namespace vb::arena {
 
@@ -67,7 +66,7 @@ struct ActiveBundle {
   double depart_s = 0.0;  ///< +inf: lives forever (closed world)
   double revenue = 0.0;
   int n_vms = 0;
-  DemandShape shape;
+  load::Demand shape;
   EmbedOutcome outcome;  ///< vms + uplink holds
 };
 
@@ -80,13 +79,12 @@ class AdmissionController {
     std::uint64_t slo_reject_streak = 3;
   };
 
-  /// `demand` may be null (closed-world runs without demand activity).
-  /// All pointers must outlive the controller.
+  /// Both pointers must outlive the controller.
   AdmissionController(core::VBundleCloud* cloud, Embedder* embedder,
-                      load::DemandModel* demand, Config cfg);
+                      Config cfg);
 
-  /// Prices and offers one request; on accept, the bundle's VMs are placed,
-  /// demand profiles assigned, and revenue booked.  Returns accepted.
+  /// Prices and offers one request; on accept, the bundle's VMs are placed
+  /// and revenue booked.  Returns accepted.
   bool offer(const VcRequest& req);
 
   /// What `req` would earn if accepted: billed hours (lifetime capped at
@@ -100,6 +98,11 @@ class AdmissionController {
   /// A bundle with a VM mid-migration is deferred by `retry_s` and picked
   /// up on a later call.  Returns how many bundles departed.
   int process_departures(double now, double retry_s = 1.0);
+
+  /// Sets the demand of every live bundle's VMs to their curves at `t`
+  /// (VM i of bundle b runs vm_demand(b.shape, i, b.n_vms)); bundles of
+  /// kind kNone are left alone.
+  void apply_demand(double t);
 
   /// Swaps the embedder (closed-world phases use different placers against
   /// one shared controller).  Returns the previous one.
@@ -123,9 +126,9 @@ class AdmissionController {
 
   // --- checkpoint/restore (src/ckpt) --------------------------------------
   /// Restore runs into a controller on a FRESH cloud: it re-registers
-  /// customers in their original order (the cloud image verifies them),
-  /// rebuilds demand profiles for live bundles, and re-applies embedder
-  /// ledgers.  It must run BEFORE VBundleCloud::restore_checkpoint.
+  /// customers in their original order (the cloud image verifies them) and
+  /// re-applies embedder ledgers.  It must run BEFORE
+  /// VBundleCloud::restore_checkpoint.
   template <class IO>
   void ckpt_io(IO& io);
 
@@ -134,7 +137,6 @@ class AdmissionController {
 
   core::VBundleCloud* cloud_;
   Embedder* embedder_;
-  load::DemandModel* demand_;
   Config cfg_;
   AdmissionStats stats_;
   std::map<std::string, host::CustomerId> customer_ids_;

@@ -51,8 +51,8 @@ Arena::Arena(core::VBundleCloud* cloud, ArenaConfig cfg)
   acfg.pricing = cfg_.pricing;
   acfg.horizon_s = cfg_.horizon_s;
   acfg.slo_reject_streak = cfg_.slo_reject_streak;
-  admission_ = std::make_unique<AdmissionController>(cloud_, embedder_.get(),
-                                                     &demand_, acfg);
+  admission_ =
+      std::make_unique<AdmissionController>(cloud_, embedder_.get(), acfg);
   next_sample_ = cfg_.sample_every_s > 0 ? cfg_.sample_every_s : kInf;
 }
 
@@ -60,7 +60,11 @@ void Arena::setup_once() {
   if (setup_done_) return;
   setup_done_ = true;
   if (cfg_.demand_apply_interval_s > 0) {
-    cloud_->attach_demand_model(&demand_, cfg_.demand_apply_interval_s);
+    cloud_->simulator().schedule_periodic(
+        0.0, cfg_.demand_apply_interval_s, [this]() {
+          admission_->apply_demand(cloud_->now());
+          return true;
+        });
   }
   if (cfg_.enable_rebalancing) cloud_->start_rebalancing();
 }
@@ -180,11 +184,11 @@ void Arena::ckpt_io(IO& io) {
 
     gen_.ckpt_io(io);
 
-    // Re-run the deterministic setup on the fresh cloud (demand model timer,
-    // rebalancing ticks), re-register customers and rebuild bundle-side
-    // state (demand profiles, uplink ledgers), and only then restore the
-    // cloud image — which re-arms every timer at its original (fire_time,
-    // seq) and verifies the reconstruction.
+    // Re-run the deterministic setup on the fresh cloud (demand pass timer,
+    // rebalancing ticks), re-register customers and rebuild the uplink
+    // ledgers, and only then restore the cloud image — which re-arms every
+    // timer at its original (fire_time, seq) and verifies the
+    // reconstruction.
     io.loading([&] {
       if (had_setup) setup_once();
     });

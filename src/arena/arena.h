@@ -98,7 +98,7 @@ class Arena {
   /// and the embedded cloud image (quiescing the simulator).
   std::vector<std::uint8_t> save_checkpoint();
   /// Restores into an arena built with the same (config, fresh cloud) pair.
-  /// Re-runs the deterministic setup (customers, demand model, rebalancing)
+  /// Re-runs the deterministic setup (customers, demand pass, rebalancing)
   /// and then restores the embedded cloud image; the resumed campaign is
   /// bit-identical to one that never stopped.
   void restore_checkpoint(const std::vector<std::uint8_t>& image);
@@ -112,7 +112,6 @@ class Arena {
 
   core::VBundleCloud* cloud_;
   ArenaConfig cfg_;
-  load::DemandModel demand_;
   std::unique_ptr<Embedder> embedder_;
   std::unique_ptr<AdmissionController> admission_;
   OpenWorldGenerator gen_;

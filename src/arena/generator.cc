@@ -58,10 +58,10 @@ std::optional<VcRequest> OpenWorldGenerator::next() {
   }
 
   // Demand shape: one of the four active kinds, staggered per VM downstream.
-  r.shape.kind = static_cast<ProfileKind>(1 + rng_.next_below(4));
+  r.shape.kind = static_cast<load::Demand::Kind>(1 + rng_.next_below(4));
   r.shape.low_mbps = cfg_.demand_low_frac * r.spec.reservation_mbps;
   r.shape.high_mbps = r.spec.limit_mbps;
-  if (r.shape.kind == ProfileKind::kConstant) {
+  if (r.shape.kind == load::Demand::Kind::kConstant) {
     // Steady at the guaranteed rate, not the burst ceiling.
     r.shape.high_mbps = r.spec.reservation_mbps;
   }

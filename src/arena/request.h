@@ -10,9 +10,9 @@
 // shape its VMs will exercise while alive.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 
 #include "hostmodel/vm.h"
@@ -20,64 +20,32 @@
 
 namespace vb::arena {
 
-/// Which workloads::DemandProfile an admitted bundle's VMs run.  A compact
-/// enum (rather than a profile pointer) so requests are serializable and the
-/// profiles can be rebuilt bit-identically after a checkpoint restore.
-enum class ProfileKind : std::uint8_t {
-  kNone = 0,        ///< no demand activity (closed-world placement studies)
-  kConstant = 1,    ///< flat at `high`
-  kPeakTrough = 2,  ///< square wave low <-> high (the Figs. 9-11 pattern)
-  kDiurnal = 3,     ///< sine between low and high
-  kRandomSlot = 4,  ///< per-slot uniform redraw in [low, high]
-};
-
-/// Parameters of a demand profile, serializable and hashable.
-struct DemandShape {
-  ProfileKind kind = ProfileKind::kNone;
-  double low_mbps = 0.0;
-  double high_mbps = 0.0;
-  double period_s = 0.0;  ///< wave period; slot length for kRandomSlot
-  double phase_s = 0.0;
-  std::uint64_t seed = 0;
-
-  /// Checkpoint layout (src/ckpt).
-  template <class IO>
-  void ckpt_io(IO& io) {
-    io.u8(kind);
-    io.f64(low_mbps);
-    io.f64(high_mbps);
-    io.f64(period_s);
-    io.f64(phase_s);
-    io.u64(seed);
-  }
-};
-
-/// Builds the concrete profile for VM `ordinal` of an N-VM bundle.  Phases
-/// are staggered across the bundle (VMs of one tenant peak at different
-/// times — the complementarity v-Bundle's shuffling exploits) and seeds are
-/// decorrelated per VM; both derive only from (shape, ordinal, n), so a
-/// restored run rebuilds the exact same profiles.
-inline std::unique_ptr<load::DemandProfile> make_vm_profile(
-    const DemandShape& s, int ordinal, int n) {
+/// The demand curve of VM `ordinal` of an N-VM bundle whose shape is `s`.
+/// Phases are staggered across the bundle (VMs of one tenant peak at
+/// different times — the complementarity v-Bundle's shuffling exploits),
+/// and random-slot VMs redraw every period / 8 seconds (at least 1) under
+/// decorrelated per-VM seeds.  The curve derives only from (s, ordinal, n),
+/// so the arena derives it afresh on every demand pass and keeps none.
+inline load::Demand vm_demand(const load::Demand& s, int ordinal, int n) {
+  using Kind = load::Demand::Kind;
   double stagger = n > 0 ? s.period_s * ordinal / n : 0.0;
   switch (s.kind) {
-    case ProfileKind::kNone:
-      return nullptr;
-    case ProfileKind::kConstant:
-      return std::make_unique<load::ConstantDemand>(s.high_mbps);
-    case ProfileKind::kPeakTrough:
-      return std::make_unique<load::PeakTroughDemand>(
-          s.low_mbps, s.high_mbps, s.period_s, s.phase_s + stagger);
-    case ProfileKind::kDiurnal:
-      return std::make_unique<load::SineDemand>(
-          (s.low_mbps + s.high_mbps) / 2.0, (s.high_mbps - s.low_mbps) / 2.0,
-          s.period_s, s.phase_s + stagger);
-    case ProfileKind::kRandomSlot:
-      return std::make_unique<load::RandomSlotDemand>(
+    case Kind::kNone:
+      return {};
+    case Kind::kConstant:
+      return load::Demand::constant(s.high_mbps);
+    case Kind::kPeakTrough:
+      return load::Demand::peak_trough(s.low_mbps, s.high_mbps, s.period_s,
+                                       s.phase_s + stagger);
+    case Kind::kSine:
+      return load::Demand::sine(s.low_mbps, s.high_mbps, s.period_s,
+                                s.phase_s + stagger);
+    case Kind::kRandomSlot:
+      return load::Demand::random_slot(
           s.low_mbps, s.high_mbps, std::max(1.0, s.period_s / 8.0),
           s.seed + static_cast<std::uint64_t>(ordinal));
   }
-  return nullptr;
+  return {};
 }
 
 /// An open-world tenant request: N VMs of `spec` for `lifetime_s` seconds.
@@ -88,7 +56,8 @@ struct VcRequest {
   double lifetime_s = std::numeric_limits<double>::infinity();
   int n_vms = 1;
   host::VmSpec spec;  ///< B = spec.reservation_mbps (hose guarantee)
-  DemandShape shape;
+  /// The bundle's curve; each VM runs vm_demand(shape, ordinal, n_vms).
+  load::Demand shape;
 
   /// Checkpoint layout (src/ckpt).
   template <class IO>

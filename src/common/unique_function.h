@@ -3,7 +3,7 @@
 // std::function heap-allocates any closure larger than its (tiny,
 // implementation-defined) inline buffer and requires the target to be
 // copyable.  The simulator schedules millions of closures per run — a Pastry
-// RouteMsg in flight captures ~120 bytes — so the event hot path needs a
+// route hop in flight captures 96 bytes — so the event hot path needs a
 // callable that (a) never allocates for closures up to a chosen size and
 // (b) accepts move-only captures.  UniqueFunction is that type: a move-only
 // std::function substitute whose inline capacity is a template parameter.
@@ -17,9 +17,9 @@
 namespace vb {
 
 /// Default inline capacity, sized so every closure the overlay transport
-/// schedules (sender handle + receiver handle + RouteMsg) stays inline.
-/// The route-hop closure sits at 120 of these 128 bytes (RouteMsg carries
-/// a 64-bit trace id); a static_assert in send_route keeps it from
+/// schedules (its delivery step plus the message) stays inline.  The
+/// route-hop closure takes 96 of these 128 bytes and the direct-message
+/// closure 72; a static_assert in PastryNetwork::transmit keeps them from
 /// silently outgrowing the buffer, which would reintroduce one heap
 /// allocation per hop (a measured ~15% route-throughput loss).
 inline constexpr std::size_t kDefaultInlineBytes = 128;

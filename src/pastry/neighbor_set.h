@@ -39,10 +39,8 @@ class NeighborSet {
   /// Members ordered nearest-first across both slot classes.
   std::vector<NodeHandle> members() const;
 
-  /// Visits all members (local slots then remote slots) without
-  /// materializing a vector.  Visit order differs from members(); use only
-  /// where the caller's result is order-independent (e.g. best-candidate
-  /// scans with a total tie-break).
+  /// Visits all members in members() order (local slots, then remote
+  /// slots) without materializing a vector.
   template <class Fn>
   void for_each(Fn&& fn) const {
     for (const NodeHandle& n : local_) fn(n);

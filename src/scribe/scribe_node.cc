@@ -140,32 +140,40 @@ void ScribeNode::multicast(const GroupId& group, PayloadPtr inner,
 
 void ScribeNode::anycast(const GroupId& group, PayloadPtr inner,
                          MsgCategory category) {
-  // If we are on the tree ourselves, start the DFS right here — this is how
-  // Pastry's local route convergence keeps the walk near the origin.
-  auto walk = std::make_shared<WalkMsg>();
-  walk->group = group;
-  walk->inner = std::move(inner);
-  walk->origin = owner_->handle();
-  walk->inner_category = category;
+  std::uint64_t trace = 0;
   if (obs::TraceRecorder* tr = owner_->network().trace()) {
-    walk->trace = tr->new_trace_id();
-    tr->begin(owner_->network().simulator().now(), walk->trace,
+    trace = tr->new_trace_id();
+    tr->begin(owner_->network().simulator().now(), trace,
               static_cast<int>(owner_->handle().host), "scribe.anycast",
               "scribe");
   }
+  // If we are on the tree ourselves, start the DFS right here — this is how
+  // Pastry's local route convergence keeps the walk near the origin.
   if (in_tree(group)) {
-    walk->visited.push_back(owner_->id());
-    walk->nodes_visited = 1;
-    process_walk(std::move(walk));
+    start_walk(group, std::move(inner), owner_->handle(), category, trace);
     return;
   }
   auto msg = std::make_shared<AnycastMsg>();
   msg->group = group;
-  msg->inner = walk->inner;
+  msg->inner = std::move(inner);
   msg->origin = owner_->handle();
   msg->inner_category = category;
-  msg->trace = walk->trace;
+  msg->trace = trace;
   owner_->route(group, std::move(msg), category);
+}
+
+void ScribeNode::start_walk(const GroupId& group, PayloadPtr inner,
+                            const NodeHandle& origin, MsgCategory category,
+                            std::uint64_t trace) {
+  auto walk = std::make_shared<WalkMsg>();
+  walk->group = group;
+  walk->inner = std::move(inner);
+  walk->origin = origin;
+  walk->inner_category = category;
+  walk->trace = trace;
+  walk->visited.push_back(owner_->id());
+  walk->nodes_visited = 1;
+  process_walk(std::move(walk));
 }
 
 void ScribeNode::add_child(const GroupId& group, const NodeHandle& child) {
@@ -208,7 +216,6 @@ bool ScribeNode::forward(pastry::PastryNode& self, pastry::RouteMsg& msg,
       st.attached = true;
       st.join_pending = false;
       st.join_backoff_s = kJoinBackoffBaseS;
-      for (ScribeApp* app : apps_) app->on_parent_changed(*this, join->group);
       return true;
     }
     // A join passing through us: graft the edge.
@@ -221,21 +228,13 @@ bool ScribeNode::forward(pastry::PastryNode& self, pastry::RouteMsg& msg,
     msg.payload = rewritten;
     st.parent = next;
     st.attached = true;
-    for (ScribeApp* app : apps_) app->on_parent_changed(*this, join->group);
     return true;
   }
   if (auto any = std::dynamic_pointer_cast<const AnycastMsg>(msg.payload)) {
     if (in_tree(any->group)) {
       // First tree node on the route: convert to a DFS walk.
-      auto walk = std::make_shared<WalkMsg>();
-      walk->group = any->group;
-      walk->inner = any->inner;
-      walk->origin = any->origin;
-      walk->inner_category = any->inner_category;
-      walk->trace = any->trace;
-      walk->visited.push_back(owner_->id());
-      walk->nodes_visited = 1;
-      process_walk(std::move(walk));
+      start_walk(any->group, any->inner, any->origin, any->inner_category,
+                 any->trace);
       return false;
     }
   }
@@ -274,15 +273,8 @@ void ScribeNode::deliver(pastry::PastryNode& self, const pastry::RouteMsg& msg) 
     GroupState& st = state(any->group);
     st.root = true;
     st.attached = true;
-    auto walk = std::make_shared<WalkMsg>();
-    walk->group = any->group;
-    walk->inner = any->inner;
-    walk->origin = any->origin;
-    walk->inner_category = any->inner_category;
-    walk->trace = any->trace;
-    walk->visited.push_back(owner_->id());
-    walk->nodes_visited = 1;
-    process_walk(std::move(walk));
+    start_walk(any->group, any->inner, any->origin, any->inner_category,
+               any->trace);
     return;
   }
 }

@@ -57,11 +57,6 @@ class ScribeApp {
   virtual void on_children_changed(ScribeNode& self, const GroupId& group) {
     (void)self; (void)group;
   }
-
-  /// Our parent link for `group` changed (rejoin after failure, first join).
-  virtual void on_parent_changed(ScribeNode& self, const GroupId& group) {
-    (void)self; (void)group;
-  }
 };
 
 /// Per-group tree state held by one node.
@@ -167,6 +162,10 @@ class ScribeNode : public pastry::PastryApp {
   void remove_child(const GroupId& group, const pastry::NodeHandle& child);
   void disseminate(const GroupId& group, const pastry::PayloadPtr& inner,
                    pastry::MsgCategory category);
+  /// Starts an anycast DFS at this node, which counts as its first visit.
+  void start_walk(const GroupId& group, pastry::PayloadPtr inner,
+                  const pastry::NodeHandle& origin,
+                  pastry::MsgCategory category, std::uint64_t trace);
   /// Starts or continues an anycast DFS at this node.
   void process_walk(std::shared_ptr<WalkMsg> walk);
   /// Pushes unvisited tree neighbors (children, then the parent when we are

@@ -16,18 +16,11 @@ VBundleCloud::VBundleCloud(CloudConfig cfg)
       cfg_.host_mem_capacity_mb);
   pastry_ = std::make_unique<pastry::PastryNetwork>(&sim_, &topo_);
 
-  // Assign server ids per policy and bring up the overlay.
+  // Assign topology-aware server ids and bring up the overlay.
   std::vector<U128> ids(static_cast<std::size_t>(topo_.num_hosts()));
-  if (cfg_.id_policy == IdPolicy::kTopologyAware) {
-    TopologyAwareIdAssigner assigner(topo_, cfg_.seed);
-    for (int h = 0; h < topo_.num_hosts(); ++h) {
-      ids[static_cast<std::size_t>(h)] = assigner.id_for_host(h);
-    }
-  } else {
-    RandomIdAssigner assigner(topo_, cfg_.seed);
-    for (int h = 0; h < topo_.num_hosts(); ++h) {
-      ids[static_cast<std::size_t>(h)] = assigner.id_for_host(h);
-    }
+  TopologyAwareIdAssigner assigner(topo_, cfg_.seed);
+  for (int h = 0; h < topo_.num_hosts(); ++h) {
+    ids[static_cast<std::size_t>(h)] = assigner.id_for_host(h);
   }
   if (cfg_.protocol_join) {
     pastry::NodeHandle bootstrap = pastry::kNoHandle;

@@ -35,16 +35,9 @@
 
 namespace vb::core {
 
-/// How server nodeIds are assigned.
-enum class IdPolicy {
-  kTopologyAware,  ///< the paper's CA-assigned hierarchical ids (§II.B)
-  kRandom,         ///< vanilla Pastry baseline
-};
-
 struct CloudConfig {
   net::TopologyConfig topology;
   VBundleConfig vbundle;
-  IdPolicy id_policy = IdPolicy::kTopologyAware;
   std::uint64_t seed = 42;
   /// Per-host CPU / memory capacities for the multi-metric extension;
   /// defaults are effectively unlimited (bandwidth-only operation).

@@ -45,7 +45,7 @@ void VBundleCloud::ckpt_io(IO& io) {
   io.section("cloud", [&] {
     // Reconstruction echo: restore verifies the rebuilt world matches.
     std::uint64_t seed = cfg_.seed;
-    IdPolicy id_policy = cfg_.id_policy;
+    std::uint8_t id_policy = 0;  // topology-aware ids, the only kind
     bool protocol_join = cfg_.protocol_join;
     std::int64_t hosts = topo_.num_hosts();
     std::vector<U128> keys = customer_keys_;
@@ -58,7 +58,7 @@ void VBundleCloud::ckpt_io(IO& io) {
       if (seed != cfg_.seed) {
         throw ckpt::CkptError("cloud: seed mismatch with reconstruction");
       }
-      if (id_policy != cfg_.id_policy) {
+      if (id_policy != 0) {
         throw ckpt::CkptError("cloud: id policy mismatch with reconstruction");
       }
       if (protocol_join != cfg_.protocol_join) {

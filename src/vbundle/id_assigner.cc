@@ -63,21 +63,4 @@ int TopologyAwareIdAssigner::segment_of_rack(int rack) const {
   return rack_segment_.at(static_cast<std::size_t>(rack));
 }
 
-RandomIdAssigner::RandomIdAssigner(const net::Topology& topo,
-                                   std::uint64_t seed) {
-  Rng rng(seed);
-  std::set<U128> used;
-  host_id_.resize(static_cast<std::size_t>(topo.num_hosts()));
-  for (net::HostId h = 0; h < topo.num_hosts(); ++h) {
-    U128 id = rng.next_u128();
-    while (used.contains(id)) id = rng.next_u128();
-    used.insert(id);
-    host_id_[static_cast<std::size_t>(h)] = id;
-  }
-}
-
-U128 RandomIdAssigner::id_for_host(net::HostId h) const {
-  return host_id_.at(static_cast<std::size_t>(h));
-}
-
 }  // namespace vb::core

@@ -44,15 +44,4 @@ class TopologyAwareIdAssigner {
   std::vector<U128> host_id_;      // host -> assigned id
 };
 
-/// Baseline: uniformly random ids (what a vanilla Pastry deployment does);
-/// used to quantify what topology-awareness buys.
-class RandomIdAssigner {
- public:
-  RandomIdAssigner(const net::Topology& topo, std::uint64_t seed);
-  U128 id_for_host(net::HostId h) const;
-
- private:
-  std::vector<U128> host_id_;
-};
-
 }  // namespace vb::core

@@ -7,92 +7,84 @@
 
 namespace vb::load {
 
-PeakTroughDemand::PeakTroughDemand(double low, double high, double period_s,
-                                   double phase_s, double duty)
-    : low_(low), high_(high), period_(period_s), phase_(phase_s), duty_(duty) {
-  if (period_s <= 0 || duty <= 0 || duty >= 1 || low > high) {
-    throw std::invalid_argument("PeakTroughDemand: bad parameters");
+namespace {
+
+Demand wave(Demand::Kind kind, double low, double high, double period_s,
+            double phase_s) {
+  if (period_s <= 0 || low > high) {
+    throw std::invalid_argument("Demand: need period > 0 and low <= high");
   }
+  return Demand{kind, low, high, period_s, phase_s, 0};
 }
 
-double PeakTroughDemand::at(double t) const {
-  double pos = std::fmod(t + phase_, period_);
-  if (pos < 0) pos += period_;
-  return pos < duty_ * period_ ? high_ : low_;
+}  // namespace
+
+Demand Demand::constant(double mbps) {
+  return Demand{Kind::kConstant, 0.0, mbps, 0.0, 0.0, 0};
 }
 
-SineDemand::SineDemand(double mean, double amplitude, double period_s,
-                       double phase_s)
-    : mean_(mean), amplitude_(amplitude), period_(period_s), phase_(phase_s) {
-  if (period_s <= 0) throw std::invalid_argument("SineDemand: period <= 0");
+Demand Demand::peak_trough(double low, double high, double period_s,
+                           double phase_s) {
+  return wave(Kind::kPeakTrough, low, high, period_s, phase_s);
 }
 
-double SineDemand::at(double t) const {
-  double v = mean_ + amplitude_ * std::sin(2.0 * std::numbers::pi *
-                                           (t + phase_) / period_);
-  return std::max(0.0, v);
+Demand Demand::sine(double low, double high, double period_s,
+                    double phase_s) {
+  return wave(Kind::kSine, low, high, period_s, phase_s);
 }
 
-RandomSlotDemand::RandomSlotDemand(double lo, double hi, double slot_s,
-                                   std::uint64_t seed)
-    : lo_(lo), hi_(hi), slot_(slot_s), seed_(seed) {
-  if (slot_s <= 0 || lo > hi) {
-    throw std::invalid_argument("RandomSlotDemand: bad parameters");
+Demand Demand::random_slot(double low, double high, double slot_s,
+                           std::uint64_t seed) {
+  if (slot_s <= 0 || low > high) {
+    throw std::invalid_argument("Demand: need slot > 0 and low <= high");
   }
+  return Demand{Kind::kRandomSlot, low, high, slot_s, 0.0, seed};
 }
 
-double RandomSlotDemand::at(double t) const {
-  auto slot = static_cast<std::uint64_t>(std::max(0.0, t) / slot_);
-  // splitmix64 of (seed, slot)
-  std::uint64_t z = seed_ ^ (slot * 0x9E3779B97F4A7C15ULL);
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z ^= z >> 31;
-  double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-  return lo_ + (hi_ - lo_) * u;
+double Demand::at(double t) const {
+  switch (kind) {
+    case Kind::kNone:
+      return 0.0;
+    case Kind::kConstant:
+      return high_mbps;
+    case Kind::kPeakTrough: {
+      double pos = std::fmod(t + phase_s, period_s);
+      if (pos < 0) pos += period_s;
+      return pos < 0.5 * period_s ? high_mbps : low_mbps;
+    }
+    case Kind::kSine: {
+      double mid = (low_mbps + high_mbps) / 2.0;
+      double half = (high_mbps - low_mbps) / 2.0;
+      double v = mid + half * std::sin(2.0 * std::numbers::pi *
+                                       (t + phase_s) / period_s);
+      return std::max(0.0, v);
+    }
+    case Kind::kRandomSlot: {
+      auto slot = static_cast<std::uint64_t>(std::max(0.0, t) / period_s);
+      // splitmix64 of (seed, slot)
+      std::uint64_t z = seed ^ (slot * 0x9E3779B97F4A7C15ULL);
+      z += 0x9E3779B97F4A7C15ULL;
+      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+      z ^= z >> 31;
+      double u = static_cast<double>(z >> 11) * 0x1.0p-53;
+      return low_mbps + (high_mbps - low_mbps) * u;
+    }
+  }
+  return 0.0;
 }
 
-RampDemand::RampDemand(double start, double slope_per_s, double cap)
-    : start_(start), slope_(slope_per_s), cap_(cap) {}
-
-double RampDemand::at(double t) const {
-  return std::clamp(start_ + slope_ * t, 0.0, cap_);
-}
-
-void DemandModel::assign(host::VmId vm, std::unique_ptr<DemandProfile> profile) {
+void DemandModel::assign(host::VmId vm, const Demand& d) {
   if (vm < 0) throw std::invalid_argument("DemandModel::assign: negative id");
-  if (profile == nullptr) {
-    throw std::invalid_argument("DemandModel::assign: null profile");
-  }
   const auto i = static_cast<std::size_t>(vm);
-  if (i >= profiles_.size()) profiles_.resize(i + 1);
-  if (profiles_[i] == nullptr) ++live_;
-  profiles_[i] = std::move(profile);
-}
-
-void DemandModel::unassign(host::VmId vm) {
-  if (find(vm) == nullptr) return;
-  profiles_[static_cast<std::size_t>(vm)].reset();
-  --live_;
-}
-
-const DemandProfile* DemandModel::find(host::VmId vm) const {
-  if (vm < 0 || static_cast<std::size_t>(vm) >= profiles_.size()) {
-    return nullptr;
-  }
-  return profiles_[static_cast<std::size_t>(vm)].get();
-}
-
-double DemandModel::demand_of(host::VmId vm, double t) const {
-  const DemandProfile* p = find(vm);
-  return p == nullptr ? 0.0 : p->at(t);
+  if (i >= curves_.size()) curves_.resize(i + 1);
+  curves_[i] = d;
 }
 
 void DemandModel::apply(host::Fleet& fleet, double t) const {
-  for (std::size_t i = 0; i < profiles_.size(); ++i) {
-    if (profiles_[i] != nullptr) {
-      fleet.set_demand(static_cast<host::VmId>(i), profiles_[i]->at(t));
+  for (std::size_t i = 0; i < curves_.size(); ++i) {
+    if (curves_[i].kind != Demand::Kind::kNone) {
+      fleet.set_demand(static_cast<host::VmId>(i), curves_[i].at(t));
     }
   }
 }

@@ -1,13 +1,13 @@
-// Time-varying bandwidth demand profiles.
+// Time-varying bandwidth demand curves.
 //
 // v-Bundle's whole premise is that "customer's applications experience
 // dynamic variations lasting for longer periods of time" (§I): some VMs
-// peak while siblings idle.  Profiles here are deterministic functions of
-// time (seeded noise included), so every experiment replays identically.
+// peak while siblings idle.  A curve here is a flat value, a deterministic
+// function of time (seeded noise included), so every experiment replays
+// identically and a curve checkpoints as its six fields.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "hostmodel/host.h"
@@ -15,98 +15,80 @@
 namespace vb::load {
 
 /// A deterministic demand curve in Mbps.
-class DemandProfile {
- public:
-  virtual ~DemandProfile() = default;
-  /// Offered load at simulated time `t` seconds.
-  virtual double at(double t) const = 0;
+struct Demand {
+  enum class Kind : std::uint8_t {
+    kNone = 0,        ///< no demand activity (closed-world placement studies)
+    kConstant = 1,    ///< flat at `high_mbps`
+    kPeakTrough = 2,  ///< square wave high <-> low (the Figs. 9-11 pattern)
+    kSine = 3,        ///< sine between low and high, clamped at zero
+    kRandomSlot = 4,  ///< per-slot uniform redraw in [low, high]
+  };
+
+  Kind kind = Kind::kNone;
+  double low_mbps = 0.0;
+  double high_mbps = 0.0;
+  double period_s = 0.0;  ///< wave period; slot length for kRandomSlot
+  double phase_s = 0.0;
+  std::uint64_t seed = 0;
+
+  /// Flat demand.
+  static Demand constant(double mbps);
+  /// `high` for the first half of every period, `low` for the second; the
+  /// phase shifts t.  Throws std::invalid_argument unless period > 0 and
+  /// low <= high.
+  static Demand peak_trough(double low, double high, double period_s,
+                            double phase_s);
+  /// Smooth diurnal-style wave: mid + half * sin(2*pi*(t+phase)/period),
+  /// where mid and half are the midpoint and half-range of [low, high].
+  /// Same checks as peak_trough.
+  static Demand sine(double low, double high, double period_s, double phase_s);
+  /// Piecewise-constant pseudo-random demand: every `slot_s` seconds the
+  /// level is redrawn uniformly in [low, high] from a hash of (seed, slot),
+  /// so it is stateless and independent across distinct seeds.  Throws
+  /// std::invalid_argument unless slot_s > 0 and low <= high.
+  static Demand random_slot(double low, double high, double slot_s,
+                            std::uint64_t seed);
+
+  /// Offered load at simulated time `t` seconds (0 for kNone).
+  double at(double t) const;
+
+  /// Checkpoint layout (src/ckpt).
+  template <class IO>
+  void ckpt_io(IO& io) {
+    io.u8(kind);
+    io.f64(low_mbps);
+    io.f64(high_mbps);
+    io.f64(period_s);
+    io.f64(phase_s);
+    io.u64(seed);
+  }
 };
 
-/// Flat demand.
-class ConstantDemand : public DemandProfile {
- public:
-  explicit ConstantDemand(double mbps) : mbps_(mbps) {}
-  double at(double) const override { return mbps_; }
-
- private:
-  double mbps_;
-};
-
-/// Square wave between `low` and `high`: the "some VMs reach their peak
-/// value while others decrease to some low value" pattern of Figs. 9-11.
-class PeakTroughDemand : public DemandProfile {
- public:
-  PeakTroughDemand(double low, double high, double period_s, double phase_s,
-                   double duty = 0.5);
-  double at(double t) const override;
-
- private:
-  double low_, high_, period_, phase_, duty_;
-};
-
-/// Smooth diurnal-style sine: mean + amplitude * sin(2*pi*(t+phase)/period).
-/// Clamped at zero.
-class SineDemand : public DemandProfile {
- public:
-  SineDemand(double mean, double amplitude, double period_s, double phase_s);
-  double at(double t) const override;
-
- private:
-  double mean_, amplitude_, period_, phase_;
-};
-
-/// Piecewise-constant pseudo-random demand: every `slot_s` seconds the level
-/// is redrawn uniformly in [lo, hi] from a hash of (seed, slot) — stateless,
-/// reproducible, and independent across VMs with distinct seeds.
-class RandomSlotDemand : public DemandProfile {
- public:
-  RandomSlotDemand(double lo, double hi, double slot_s, std::uint64_t seed);
-  double at(double t) const override;
-
- private:
-  double lo_, hi_, slot_;
-  std::uint64_t seed_;
-};
-
-/// Ramp from `start` by `slope` per second, clamped to [0, cap].
-/// Models SIPp's increasing call rate (§V.A).
-class RampDemand : public DemandProfile {
- public:
-  RampDemand(double start, double slope_per_s, double cap);
-  double at(double t) const override;
-
- private:
-  double start_, slope_, cap_;
-};
-
-/// Maps VMs to profiles and pushes demands into the fleet at a given time.
+/// Maps VMs to curves and pushes demands into the fleet at a given time.
 ///
-/// Profiles sit in a table indexed by VmId: Fleet::create_vm hands out dense
-/// ids and never reuses one, so the table costs 8 B per id up to the largest
-/// id assigned, beside the VM record Fleet already keeps for each.
+/// Curves sit in a table indexed by VmId (Fleet::create_vm hands out dense
+/// ids); a kNone entry marks a VM without a curve.
 class DemandModel {
  public:
-  /// Gives `vm` a profile, replacing any it had.  Throws
-  /// std::invalid_argument for a negative id or a null profile.
-  void assign(host::VmId vm, std::unique_ptr<DemandProfile> profile);
-  /// Drops a VM's profile (no-op if absent) — lifecycle churn support: a
-  /// departed VM must stop generating demand.
-  void unassign(host::VmId vm);
-  bool has(host::VmId vm) const { return find(vm) != nullptr; }
-  std::size_t size() const { return live_; }
+  /// Gives `vm` the curve `d`, replacing any it had.  Throws
+  /// std::invalid_argument for a negative id.
+  void assign(host::VmId vm, const Demand& d);
+  bool has(host::VmId vm) const {
+    return vm >= 0 && static_cast<std::size_t>(vm) < curves_.size() &&
+           curves_[static_cast<std::size_t>(vm)].kind != Demand::Kind::kNone;
+  }
 
-  /// Demand of one VM at `t` (0 if the VM has no profile).
-  double demand_of(host::VmId vm, double t) const;
+  /// Demand of one VM at `t` (0 if the VM has no curve).
+  double demand_of(host::VmId vm, double t) const {
+    return has(vm) ? curves_[static_cast<std::size_t>(vm)].at(t) : 0.0;
+  }
 
-  /// Writes every profiled VM's demand at time `t` into the fleet, in
-  /// ascending id order.
+  /// Writes every VM's demand at time `t` into the fleet, in ascending id
+  /// order, skipping VMs without a curve.
   void apply(host::Fleet& fleet, double t) const;
 
  private:
-  const DemandProfile* find(host::VmId vm) const;
-
-  std::vector<std::unique_ptr<DemandProfile>> profiles_;  // null: no profile
-  std::size_t live_ = 0;                                  // non-null entries
+  std::vector<Demand> curves_;
 };
 
 }  // namespace vb::load

@@ -1,7 +1,6 @@
 #include "workloads/scenario.h"
 
 #include <algorithm>
-#include <memory>
 
 namespace vb::load {
 
@@ -66,20 +65,6 @@ void skew_host_utilizations(host::Fleet& fleet, double lo_util, double hi_util,
       double d = std::min(per_vm, v.spec.limit_mbps);
       fleet.set_demand(id, d);
     }
-  }
-}
-
-void assign_peak_trough(DemandModel& model, const std::vector<host::VmId>& vms,
-                        double low_mbps, double high_mbps, double period_s,
-                        double peak_fraction, Rng& rng) {
-  for (host::VmId v : vms) {
-    bool hot = rng.chance(peak_fraction);
-    // Hot VMs start at the peak; cold VMs start idle and swap at half
-    // period, so the customer-level total stays roughly constant while the
-    // per-host distribution shifts — the condition v-Bundle exploits.
-    double phase = hot ? 0.0 : period_s / 2.0;
-    model.assign(v, std::make_unique<PeakTroughDemand>(low_mbps, high_mbps,
-                                                       period_s, phase));
   }
 }
 

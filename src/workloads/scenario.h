@@ -1,9 +1,8 @@
 // Shared scenario builders used by tests, examples, and benches.
 //
 // Centralizes the paper's evaluation setups: the five named customers of
-// Figs. 7-8, the skewed utilization state of Fig. 9, the peak/trough
-// imbalance of Figs. 10-11, and the intra-customer "chatting" traffic
-// matrix used to score placements.
+// Figs. 7-8, the skewed utilization state of Fig. 9, and the
+// intra-customer "chatting" traffic matrix used to score placements.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +12,6 @@
 #include "common/rng.h"
 #include "hostmodel/host.h"
 #include "net/flow_allocator.h"
-#include "workloads/demand.h"
 
 namespace vb::load {
 
@@ -42,13 +40,5 @@ std::vector<net::Flow> chatting_flows(const host::Fleet& fleet,
 /// a target drawn uniformly; its VMs' demands are scaled to meet it.
 void skew_host_utilizations(host::Fleet& fleet, double lo_util, double hi_util,
                             Rng& rng);
-
-/// Assigns peak/trough square-wave profiles: a `peak_fraction` of VMs run
-/// hot (demand = high) while the rest idle (demand = low), swapping roles
-/// every `period_s`.  This is the workload variation v-Bundle exploits in
-/// Figs. 10-11.
-void assign_peak_trough(DemandModel& model, const std::vector<host::VmId>& vms,
-                        double low_mbps, double high_mbps, double period_s,
-                        double peak_fraction, Rng& rng);
 
 }  // namespace vb::load

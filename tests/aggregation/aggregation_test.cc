@@ -2,11 +2,13 @@
 // cascades, global publishes reaching all members, and repair after churn.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 #include "aggregation/aggregation_tree.h"
 #include "common/hash.h"
 #include "common/rng.h"
+#include "obs/trace.h"
 #include "scribe/scribe_network.h"
 
 namespace vb::agg {
@@ -257,6 +259,50 @@ TEST(Aggregation, UnsubscribedNodeStopsContributing) {
     hx.sim.run_to_completion();
   }
   EXPECT_DOUBLE_EQ(hx.agents[0]->topic(hx.topic)->global().sum, 9.0);
+}
+
+// A leaf that leaves the tree drops its pending cascade id with the rest of
+// its pending state: after it re-subscribes, its next agg.update carries
+// the id minted for its new contribution, not one minted before it left.
+TEST(Aggregation, UnsubscribeDropsThePendingTraceId) {
+  Harness hx(2, 4, PropagationMode::kPeriodic);
+  obs::TraceRecorder tr;
+  hx.net.set_trace(&tr);
+  hx.subscribe_all();
+  for (auto& a : hx.agents) a->set_local(hx.topic, AggValue::of(1.0));
+  for (int r = 0; r < 3; ++r) hx.tick_all();
+
+  AggregationAgent* leaf = nullptr;
+  for (auto& a : hx.agents) {
+    const scribe::GroupState* st = a->scribe().find_group(hx.topic);
+    if (st != nullptr && st->member && !st->root && st->children.empty()) {
+      leaf = a.get();
+      break;
+    }
+  }
+  ASSERT_NE(leaf, nullptr);
+  const int host = static_cast<int>(leaf->scribe().owner().handle().host);
+
+  // A contribution left pending when the leaf leaves.
+  leaf->set_local(hx.topic, AggValue::of(2.0));
+  leaf->unsubscribe(hx.topic);
+  hx.sim.run_to_completion();
+  ASSERT_FALSE(leaf->scribe().in_tree(hx.topic));
+
+  leaf->subscribe(hx.topic);
+  hx.sim.run_to_completion();
+  const std::uint64_t fresh = tr.new_trace_id() + 1;  // set_local mints it
+  leaf->set_local(hx.topic, AggValue::of(3.0));
+  leaf->tick(hx.topic);
+  hx.sim.run_to_completion();
+
+  std::uint64_t sent = 0;
+  for (const obs::TraceEvent& e : tr.snapshot()) {
+    if (e.node == host && std::strcmp(e.name, "agg.update") == 0) {
+      sent = e.trace_id;
+    }
+  }
+  EXPECT_EQ(sent, fresh);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,7 +104,7 @@ TEST(OpenWorldGenerator, ArrivalsIncreaseAndFieldsAreSane) {
     EXPECT_LE(r->n_vms, cfg.n_max);
     EXPECT_GT(r->lifetime_s, 0.0);
     EXPECT_TRUE(r->spec.valid());
-    EXPECT_NE(r->shape.kind, arena::ProfileKind::kNone);
+    EXPECT_NE(r->shape.kind, load::Demand::Kind::kNone);
     lifetime_sum += r->lifetime_s;
   }
   // Exponential with mean 4h: the sample mean of 2000 draws should land
@@ -174,7 +175,7 @@ TEST(ClosedWorldSource, ReplaysBatchesInOrderWithAlternatingSpecs) {
     EXPECT_EQ(r.n_vms, 1);
     EXPECT_EQ(r.arrival_s, 0.0);
     EXPECT_TRUE(std::isinf(r.lifetime_s));
-    EXPECT_EQ(r.shape.kind, arena::ProfileKind::kNone);
+    EXPECT_EQ(r.shape.kind, load::Demand::Kind::kNone);
   }
 }
 
@@ -670,7 +671,7 @@ TEST(Admission, PriceIsVmHoursPlusBandwidthHours) {
   arena::GreedyTreeEmbedder emb(&cloud);
   arena::AdmissionController::Config cfg;
   cfg.horizon_s = 86400.0;
-  arena::AdmissionController adm(&cloud, &emb, nullptr, cfg);
+  arena::AdmissionController adm(&cloud, &emb, cfg);
   arena::VcRequest r = bundle_request(0, "t", 4, 7200.0);
   r.spec = host::VmSpec{100, 200};
   // 2 hours * 4 VMs * (0.04 + 0.1 Gbps * 0.29)
@@ -690,7 +691,7 @@ TEST(Admission, AcceptsUntilFullTracksSloStreaksAndRecovers) {
   arena::GreedyTreeEmbedder emb(&cloud);
   arena::AdmissionController::Config acfg;
   acfg.slo_reject_streak = 3;
-  arena::AdmissionController adm(&cloud, &emb, nullptr, acfg);
+  arena::AdmissionController adm(&cloud, &emb, acfg);
 
   EXPECT_TRUE(adm.offer(bundle_request(0, "t", 4)));
   EXPECT_TRUE(adm.offer(bundle_request(1, "t", 4)));
@@ -716,7 +717,7 @@ TEST(Admission, DeparturesReleaseCapacityAndUplinkLedger) {
   core::CloudConfig cfg = packer_config();
   core::VBundleCloud cloud(cfg);
   arena::GreedyTreeEmbedder emb(&cloud);
-  arena::AdmissionController adm(&cloud, &emb, nullptr, {});
+  arena::AdmissionController adm(&cloud, &emb, {});
 
   // 25 VMs spread over two racks -> uplink holds ledgered.
   EXPECT_TRUE(adm.offer(bundle_request(0, "t", 25, 100.0)));
@@ -754,7 +755,7 @@ class ReleaseOrderEmbedder : public arena::GreedyTreeEmbedder {
 TEST(Admission, DeparturesLeaveInDepartTimeThenRequestIdOrder) {
   core::VBundleCloud cloud(packer_config());
   ReleaseOrderEmbedder emb(&cloud);
-  arena::AdmissionController adm(&cloud, &emb, nullptr, {});
+  arena::AdmissionController adm(&cloud, &emb, {});
   // Ids 7 and 3 share a departure time; id 9 leaves earlier.
   ASSERT_TRUE(adm.offer(bundle_request(7, "a", 2, 100.0)));
   ASSERT_TRUE(adm.offer(bundle_request(3, "b", 2, 100.0)));
@@ -772,7 +773,7 @@ TEST(Admission, DeparturesLeaveInDepartTimeThenRequestIdOrder) {
 TEST(Admission, MigratingBundleIsDeferredAndLeavesOnceSettled) {
   core::VBundleCloud cloud(packer_config());
   arena::GreedyTreeEmbedder emb(&cloud);
-  arena::AdmissionController adm(&cloud, &emb, nullptr, {});
+  arena::AdmissionController adm(&cloud, &emb, {});
   ASSERT_TRUE(adm.offer(bundle_request(0, "t", 4, 100.0)));
   const host::VmId v = adm.active().at(0).outcome.vms[1];
   cloud.fleet().vm(v).migrating = true;
@@ -803,7 +804,7 @@ TEST(CompetitiveEmbedder, RejectsOnCostOnceUtilizationClimbs) {
   ccfg.mu = 16.0;
   ccfg.reject_threshold = 0.2;  // cuts off near u ~ 0.5
   arena::CompetitiveEmbedder emb(&cloud, ccfg);
-  arena::AdmissionController adm(&cloud, &emb, nullptr, {});
+  arena::AdmissionController adm(&cloud, &emb, {});
 
   bool saw_cost_reject = false;
   for (std::uint64_t i = 0; i < 10; ++i) {
@@ -887,6 +888,118 @@ TEST(ClosedWorldArena, ReproducesTheHandRolledFig8LoopsExactly) {
     EXPECT_EQ(direct_placed[name], a.admission().placed_by_tenant().at(name))
         << name;
   }
+}
+
+// --- per-VM demand curves ---------------------------------------------------
+
+// vm_demand(shape, ordinal, 5).at(t) for every active kind, VMs 0, 1 and 4
+// of a 5-VM bundle, as bit patterns recorded from the virtual profile
+// classes the Demand value type replaced: the per-VM phase stagger, slot
+// length and seed, and each kind's arithmetic, must not move by one bit.
+TEST(VmDemand, CurvesMatchRecordedBitPatterns) {
+  const double times[] = {0.0,    100.0,      611.5, 700.0,
+                          4321.0, 123456.789, 2.5e6};
+  struct Row {
+    int kind;
+    int ordinal;
+    std::uint64_t bits[7];
+  };
+  const Row rows[] = {
+      {1, 0, {0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL}},
+      {1, 1, {0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL}},
+      {1, 4, {0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL, 0x406769999999999aULL}},
+      {2, 0, {0x406769999999999aULL, 0x406769999999999aULL, 0x4029000000000000ULL, 0x4029000000000000ULL, 0x4029000000000000ULL, 0x406769999999999aULL, 0x406769999999999aULL}},
+      {2, 1, {0x406769999999999aULL, 0x4029000000000000ULL, 0x4029000000000000ULL, 0x406769999999999aULL, 0x4029000000000000ULL, 0x406769999999999aULL, 0x4029000000000000ULL}},
+      {2, 4, {0x406769999999999aULL, 0x406769999999999aULL, 0x4029000000000000ULL, 0x4029000000000000ULL, 0x4029000000000000ULL, 0x406769999999999aULL, 0x406769999999999aULL}},
+      {3, 0, {0x40676368cf0f48eaULL, 0x4065a7126d6ff0ecULL, 0x40291f186196b3d8ULL, 0x4036b0bd634661f4ULL, 0x402966df3732c768ULL, 0x40675b518c3e2512ULL, 0x40645bb22ad87b36ULL}},
+      {3, 1, {0x405e548849b41779ULL, 0x40535446b0be8b41ULL, 0x40530092014941e2ULL, 0x405cbf8b5260acb6ULL, 0x4053a591ac6abfa7ULL, 0x405d985dde524838ULL, 0x404edad6f9fb15abULL}},
+      {3, 4, {0x40608c06788ee224ULL, 0x4064f989aaf38b30ULL, 0x405173ff3a968eb5ULL, 0x40428b62fadeced6ULL, 0x4050d48b182af7aaULL, 0x4060e51b922a8031ULL, 0x4066202a0c7b9affULL}},
+      {4, 0, {0x4055fb970acd6825ULL, 0x4055fb970acd6825ULL, 0x402d095ba518e5f0ULL, 0x40433c88e845aab4ULL, 0x406589b2c8a7131bULL, 0x4058031285a1ed73ULL, 0x405a7960f9a8ac25ULL}},
+      {4, 1, {0x4061db9ad6a01e40ULL, 0x4061db9ad6a01e40ULL, 0x405b7f5271225e04ULL, 0x404f69d69ee7863bULL, 0x40318f5011f147ecULL, 0x405327619e43e7c2ULL, 0x4058c76dae7195b6ULL}},
+      {4, 4, {0x40650fc455c5c095ULL, 0x40650fc455c5c095ULL, 0x403ee1880906c583ULL, 0x405a97c3a60fd2afULL, 0x404bdddc0f6676ccULL, 0x4054f42354c8e8feULL, 0x40480c9a6f0081cdULL}},
+  };
+  for (const Row& row : rows) {
+    load::Demand shape;
+    shape.kind = static_cast<load::Demand::Kind>(row.kind);
+    shape.low_mbps = 12.5;
+    shape.high_mbps = 187.3;
+    shape.period_s = 1234.5;
+    shape.phase_s = 321.7;
+    shape.seed = 0x9E3779B97F4A7C15ULL;
+    for (int i = 0; i < 7; ++i) {
+      double t = times[i];
+      double got = arena::vm_demand(shape, row.ordinal, 5).at(t);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got), row.bits[i])
+          << "kind " << row.kind << " ordinal " << row.ordinal << " t " << t;
+    }
+  }
+}
+
+// After a campaign with churn, every live bundle VM carries its curve's
+// value at the last demand pass, bit for bit, and every destroyed VM reads
+// 0; the same holds for a campaign restored from a mid-run checkpoint.
+void expect_demands_follow_live_bundles(const arena::Arena& a,
+                                        const core::VBundleCloud& cloud,
+                                        double t_last) {
+  const host::Fleet& fleet = cloud.fleet();
+  std::vector<bool> live(fleet.num_vms(), false);
+  std::set<load::Demand::Kind> kinds;
+  std::size_t checked = 0;
+  for (const auto& [id, b] : a.admission().active()) {
+    kinds.insert(b.shape.kind);
+    for (std::size_t i = 0; i < b.outcome.vms.size(); ++i) {
+      host::VmId v = b.outcome.vms[i];
+      live[static_cast<std::size_t>(v)] = true;
+      double want =
+          arena::vm_demand(b.shape, static_cast<int>(i), b.n_vms).at(t_last);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fleet.vm(v).demand_mbps),
+                std::bit_cast<std::uint64_t>(want))
+          << "bundle " << id << " vm " << v;
+      ++checked;
+    }
+  }
+  std::size_t destroyed = 0;
+  for (std::size_t v = 0; v < fleet.num_vms(); ++v) {
+    const host::Vm& vm = fleet.vm(static_cast<host::VmId>(v));
+    if (!vm.destroyed) continue;
+    ++destroyed;
+    EXPECT_FALSE(live[v]) << "vm " << v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(vm.demand_mbps), 0u) << "vm " << v;
+  }
+  EXPECT_GE(checked, 20u);
+  EXPECT_GE(destroyed, 50u);
+  EXPECT_EQ(kinds.count(load::Demand::Kind::kNone), 0u);
+  EXPECT_EQ(kinds.size(), 4u);
+}
+
+TEST(Arena, DemandPassSetsLiveBundleVmsFromTheirShapes) {
+  arena::ArenaConfig acfg;
+  acfg.embedder = arena::EmbedderKind::kGreedyTree;
+  acfg.generator.seed = 17;
+  acfg.generator.base_arrival_per_s = 0.05;
+  acfg.generator.mean_lifetime_s = 600.0;
+  acfg.max_requests = 400;
+  acfg.horizon_s = 3000.0;
+  acfg.demand_apply_interval_s = 60.0;
+  core::VBundleCloud cloud(small_config());
+  arena::Arena a(&cloud, acfg);
+  // The passes run every 60 s from the time the campaign starts (the
+  // simulator re-arms a periodic task at now + period).  Stopping at a pass
+  // time runs that pass after every arrival before it.
+  double t_last = cloud.now();
+  while (t_last + 60.0 <= 3000.0) t_last += 60.0;
+  a.run_until(1530.0);
+  std::vector<std::uint8_t> image = a.save_checkpoint();
+  a.run_until(t_last);
+  expect_demands_follow_live_bundles(a, cloud, t_last);
+
+  core::VBundleCloud other(small_config());
+  arena::Arena b(&other, acfg);
+  b.restore_checkpoint(image);
+  b.run_until(t_last);
+  expect_demands_follow_live_bundles(b, other, t_last);
+  EXPECT_EQ(a.admission().stats().decision_fingerprint,
+            b.admission().stats().decision_fingerprint);
 }
 
 // --- arena campaign smoke ---------------------------------------------------

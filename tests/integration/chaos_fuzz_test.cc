@@ -124,8 +124,8 @@ std::string run_with_plan(std::uint64_t seed, sim::FaultPlan plan,
     auto r = cloud.boot_vm(cust, spec);
     if (!r.ok) continue;
     ++booted;
-    model.assign(r.vm, std::make_unique<load::RandomSlotDemand>(
-                           0.0, spec.limit_mbps, 120.0, rng.next_u64()));
+    model.assign(r.vm, load::Demand::random_slot(0.0, spec.limit_mbps, 120.0,
+                                                 rng.next_u64()));
   }
   cloud.attach_demand_model(&model, 60.0);
   cloud.start_rebalancing(0.0, 240.0);

@@ -32,8 +32,8 @@ int boot_random_fleet(VBundleCloud& cloud, load::DemandModel& model, Rng& rng) {
       auto r = cloud.boot_vm(cust, spec);
       if (!r.ok) continue;
       ++booted;
-      model.assign(r.vm, std::make_unique<load::RandomSlotDemand>(
-                             0.0, spec.limit_mbps, 120.0, rng.next_u64()));
+      model.assign(r.vm, load::Demand::random_slot(0.0, spec.limit_mbps, 120.0,
+                                                   rng.next_u64()));
     }
   }
   return booted;

@@ -255,16 +255,14 @@ TEST(Rebalancing, DemandModelDrivesDynamicImbalance) {
     for (int i = 0; i < 4; ++i) {
       host::VmId v = cloud.fleet().create_vm(0, host::VmSpec{100, 500});
       ASSERT_TRUE(cloud.fleet().place(v, h));
-      model.assign(v, std::make_unique<load::PeakTroughDemand>(50.0, 225.0,
-                                                               10000.0, 0.0));
+      model.assign(v, load::Demand::peak_trough(50.0, 225.0, 10000.0, 0.0));
     }
   }
   for (int h = 2; h < 8; ++h) {
     for (int i = 0; i < 2; ++i) {
       host::VmId v = cloud.fleet().create_vm(0, host::VmSpec{100, 500});
       ASSERT_TRUE(cloud.fleet().place(v, h));
-      model.assign(v, std::make_unique<load::PeakTroughDemand>(
-                           50.0, 225.0, 10000.0, 5000.0));
+      model.assign(v, load::Demand::peak_trough(50.0, 225.0, 10000.0, 5000.0));
     }
   }
   cloud.attach_demand_model(&model, 300.0);

@@ -102,35 +102,5 @@ TEST(IdAssigner, AdjacentRingSegmentsAreRemoteRacks) {
   }
 }
 
-TEST(RandomIdAssigner, UniqueAndSeedDependent) {
-  net::Topology t = topo(1, 4, 4);
-  RandomIdAssigner a(t, 5), b(t, 5), c(t, 6);
-  std::set<U128> seen;
-  for (int h = 0; h < t.num_hosts(); ++h) {
-    EXPECT_TRUE(seen.insert(a.id_for_host(h)).second);
-    EXPECT_EQ(a.id_for_host(h), b.id_for_host(h));
-  }
-  EXPECT_NE(a.id_for_host(0), c.id_for_host(0));
-}
-
-TEST(RandomIdAssigner, DoesNotClusterRacks) {
-  // Sanity contrast with the topology-aware assigner: sorting by id should
-  // interleave racks rather than group them.
-  net::Topology t = topo(1, 8, 8);
-  RandomIdAssigner a(t, 3);
-  std::vector<int> hosts(static_cast<std::size_t>(t.num_hosts()));
-  for (int h = 0; h < t.num_hosts(); ++h) hosts[static_cast<std::size_t>(h)] = h;
-  std::sort(hosts.begin(), hosts.end(), [&](int x, int y) {
-    return a.id_for_host(x) < a.id_for_host(y);
-  });
-  int pure_blocks = 0;
-  for (std::size_t i = 0; i < hosts.size(); i += 8) {
-    std::set<int> racks;
-    for (std::size_t j = i; j < i + 8; ++j) racks.insert(t.rack_of(hosts[j]));
-    if (racks.size() == 1) ++pure_blocks;
-  }
-  EXPECT_LE(pure_blocks, 1);  // overwhelmingly mixed
-}
-
 }  // namespace
 }  // namespace vb::core

@@ -1,7 +1,6 @@
-// Demand profiles, the SIPp call model, and scenario builders.
+// Demand curves, the SIPp call model, and scenario builders.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -14,13 +13,18 @@ namespace vb::load {
 namespace {
 
 TEST(Demand, ConstantIsFlat) {
-  ConstantDemand d(120.0);
+  Demand d = Demand::constant(120.0);
   EXPECT_DOUBLE_EQ(d.at(0), 120.0);
   EXPECT_DOUBLE_EQ(d.at(1e6), 120.0);
 }
 
+TEST(Demand, NoneIsZero) {
+  EXPECT_DOUBLE_EQ(Demand{}.at(0), 0.0);
+  EXPECT_DOUBLE_EQ(Demand{}.at(1e6), 0.0);
+}
+
 TEST(Demand, PeakTroughSquareWave) {
-  PeakTroughDemand d(10.0, 90.0, 100.0, 0.0, 0.5);
+  Demand d = Demand::peak_trough(10.0, 90.0, 100.0, 0.0);
   EXPECT_DOUBLE_EQ(d.at(0.0), 90.0);
   EXPECT_DOUBLE_EQ(d.at(49.9), 90.0);
   EXPECT_DOUBLE_EQ(d.at(50.0), 10.0);
@@ -29,8 +33,8 @@ TEST(Demand, PeakTroughSquareWave) {
 }
 
 TEST(Demand, PeakTroughPhaseShiftsRoles) {
-  PeakTroughDemand hot(10.0, 90.0, 100.0, 0.0);
-  PeakTroughDemand cold(10.0, 90.0, 100.0, 50.0);
+  Demand hot = Demand::peak_trough(10.0, 90.0, 100.0, 0.0);
+  Demand cold = Demand::peak_trough(10.0, 90.0, 100.0, 50.0);
   EXPECT_DOUBLE_EQ(hot.at(0), 90.0);
   EXPECT_DOUBLE_EQ(cold.at(0), 10.0);
   EXPECT_DOUBLE_EQ(hot.at(60), 10.0);
@@ -38,13 +42,20 @@ TEST(Demand, PeakTroughPhaseShiftsRoles) {
 }
 
 TEST(Demand, PeakTroughRejectsBadParams) {
-  EXPECT_THROW(PeakTroughDemand(1, 2, 0, 0), std::invalid_argument);
-  EXPECT_THROW(PeakTroughDemand(5, 2, 10, 0), std::invalid_argument);
-  EXPECT_THROW(PeakTroughDemand(1, 2, 10, 0, 1.5), std::invalid_argument);
+  EXPECT_THROW(Demand::peak_trough(1, 2, 0, 0), std::invalid_argument);
+  EXPECT_THROW(Demand::peak_trough(5, 2, 10, 0), std::invalid_argument);
+}
+
+TEST(Demand, SineAndRandomSlotRejectBadParams) {
+  EXPECT_THROW(Demand::sine(1, 2, 0, 0), std::invalid_argument);
+  EXPECT_THROW(Demand::sine(5, 2, 10, 0), std::invalid_argument);
+  EXPECT_THROW(Demand::random_slot(1, 2, 0, 7), std::invalid_argument);
+  EXPECT_THROW(Demand::random_slot(5, 2, 10, 7), std::invalid_argument);
 }
 
 TEST(Demand, SineIsClampedAtZero) {
-  SineDemand d(10.0, 50.0, 100.0, 0.0);
+  // Midpoint 10, half-range 50: the wave dips to -40 and is clamped.
+  Demand d = Demand::sine(-40.0, 60.0, 100.0, 0.0);
   double mn = 1e18, mx = -1e18;
   for (double t = 0; t < 100; t += 1) {
     double v = d.at(t);
@@ -57,22 +68,15 @@ TEST(Demand, SineIsClampedAtZero) {
 }
 
 TEST(Demand, RandomSlotIsDeterministicAndPiecewiseConstant) {
-  RandomSlotDemand d(10.0, 20.0, 5.0, 77);
+  Demand d = Demand::random_slot(10.0, 20.0, 5.0, 77);
   EXPECT_DOUBLE_EQ(d.at(1.0), d.at(4.9));   // same slot
-  EXPECT_DOUBLE_EQ(d.at(2.0), RandomSlotDemand(10.0, 20.0, 5.0, 77).at(2.0));
-  EXPECT_NE(RandomSlotDemand(10, 20, 5, 1).at(0),
-            RandomSlotDemand(10, 20, 5, 2).at(0));
+  EXPECT_DOUBLE_EQ(d.at(2.0), Demand::random_slot(10.0, 20.0, 5.0, 77).at(2.0));
+  EXPECT_NE(Demand::random_slot(10, 20, 5, 1).at(0),
+            Demand::random_slot(10, 20, 5, 2).at(0));
   for (double t = 0; t < 100; t += 3.1) {
     EXPECT_GE(d.at(t), 10.0);
     EXPECT_LE(d.at(t), 20.0);
   }
-}
-
-TEST(Demand, RampClampsAtCap) {
-  RampDemand d(800.0, 10.0, 3000.0);
-  EXPECT_DOUBLE_EQ(d.at(0), 800.0);
-  EXPECT_DOUBLE_EQ(d.at(100), 1800.0);
-  EXPECT_DOUBLE_EQ(d.at(1000), 3000.0);
 }
 
 TEST(DemandModel, AppliesToFleet) {
@@ -82,8 +86,8 @@ TEST(DemandModel, AppliesToFleet) {
   ASSERT_TRUE(f.place(a, 0));
   ASSERT_TRUE(f.place(b, 1));
   DemandModel m;
-  m.assign(a, std::make_unique<ConstantDemand>(42.0));
-  m.assign(b, std::make_unique<PeakTroughDemand>(0.0, 200.0, 10.0, 0.0));
+  m.assign(a, Demand::constant(42.0));
+  m.assign(b, Demand::peak_trough(0.0, 200.0, 10.0, 0.0));
   m.apply(f, 0.0);
   EXPECT_DOUBLE_EQ(f.vm(a).demand_mbps, 42.0);
   EXPECT_DOUBLE_EQ(f.vm(b).demand_mbps, 200.0);
@@ -95,9 +99,9 @@ TEST(DemandModel, AppliesToFleet) {
   EXPECT_FALSE(m.has(999));
 }
 
-// The profile table: ids assigned out of order, a profile replaced, drops of
-// absent ids as no-ops, and a negative id or a null profile refused.
-TEST(DemandModel, TableAssignsReplacesAndDrops) {
+// The curve table: ids assigned out of order, a curve replaced, absent ids
+// read as no curve, and a negative id refused.
+TEST(DemandModel, TableAssignsAndReplaces) {
   host::Fleet f(2, 1000.0);
   std::vector<host::VmId> v;
   for (int i = 0; i < 5; ++i) {
@@ -106,32 +110,23 @@ TEST(DemandModel, TableAssignsReplacesAndDrops) {
     f.set_demand(v.back(), 7.0);
   }
   DemandModel m;
-  EXPECT_EQ(m.size(), 0u);
-  m.assign(v[3], std::make_unique<ConstantDemand>(30.0));
-  m.assign(v[1], std::make_unique<ConstantDemand>(10.0));
-  EXPECT_EQ(m.size(), 2u);
+  m.assign(v[3], Demand::constant(30.0));
+  m.assign(v[1], Demand::constant(10.0));
   EXPECT_TRUE(m.has(v[1]));
   EXPECT_TRUE(m.has(v[3]));
   EXPECT_FALSE(m.has(v[0]));
-  EXPECT_FALSE(m.has(v[2]));  // inside the table, no profile
+  EXPECT_FALSE(m.has(v[2]));  // inside the table, no curve
   EXPECT_FALSE(m.has(v[4]));  // past the end of the table
   EXPECT_FALSE(m.has(-1));
 
-  m.assign(v[3], std::make_unique<ConstantDemand>(33.0));
-  EXPECT_EQ(m.size(), 2u);
+  m.assign(v[3], Demand::constant(33.0));
   EXPECT_DOUBLE_EQ(m.demand_of(v[3], 0.0), 33.0);
   EXPECT_DOUBLE_EQ(m.demand_of(v[1], 5.0), 10.0);
   EXPECT_DOUBLE_EQ(m.demand_of(v[2], 0.0), 0.0);
   EXPECT_DOUBLE_EQ(m.demand_of(v[4], 0.0), 0.0);
   EXPECT_DOUBLE_EQ(m.demand_of(-1, 0.0), 0.0);
 
-  m.unassign(v[2]);
-  m.unassign(v[4]);
-  m.unassign(1000);
-  m.unassign(-1);
-  EXPECT_EQ(m.size(), 2u);
-
-  // apply() sets only the profiled VMs' demand.
+  // apply() sets only the VMs with a curve.
   m.apply(f, 0.0);
   EXPECT_DOUBLE_EQ(f.vm(v[0]).demand_mbps, 7.0);
   EXPECT_DOUBLE_EQ(f.vm(v[1]).demand_mbps, 10.0);
@@ -139,18 +134,7 @@ TEST(DemandModel, TableAssignsReplacesAndDrops) {
   EXPECT_DOUBLE_EQ(f.vm(v[3]).demand_mbps, 33.0);
   EXPECT_DOUBLE_EQ(f.vm(v[4]).demand_mbps, 7.0);
 
-  m.unassign(v[1]);
-  m.unassign(v[1]);
-  EXPECT_EQ(m.size(), 1u);
-  EXPECT_FALSE(m.has(v[1]));
-  f.set_demand(v[1], 7.0);
-  m.apply(f, 0.0);
-  EXPECT_DOUBLE_EQ(f.vm(v[1]).demand_mbps, 7.0);
-
-  EXPECT_THROW(m.assign(-1, std::make_unique<ConstantDemand>(1.0)),
-               std::invalid_argument);
-  EXPECT_THROW(m.assign(v[0], nullptr), std::invalid_argument);
-  EXPECT_EQ(m.size(), 1u);
+  EXPECT_THROW(m.assign(-1, Demand::constant(1.0)), std::invalid_argument);
   EXPECT_FALSE(m.has(v[0]));
 }
 
@@ -258,25 +242,6 @@ TEST(Scenario, SkewedUtilizationsSpanTheRange) {
   EXPECT_LT(s.mean, 0.85);
   EXPECT_GT(s.max, 0.8);
   EXPECT_LT(s.min, 0.45);
-}
-
-TEST(Scenario, PeakTroughAssignmentCoversAllVms) {
-  host::Fleet f(4, 1000.0);
-  auto vms = make_customer_vms(f, 0, 20);
-  DemandModel model;
-  Rng rng(3);
-  assign_peak_trough(model, vms, 5.0, 100.0, 600.0, 0.4, rng);
-  int hot = 0;
-  for (auto v : vms) {
-    ASSERT_TRUE(model.has(v));
-    double d0 = model.demand_of(v, 0.0);
-    EXPECT_TRUE(d0 == 5.0 || d0 == 100.0);
-    hot += d0 == 100.0 ? 1 : 0;
-    // Roles swap at half period.
-    EXPECT_NE(model.demand_of(v, 0.0), model.demand_of(v, 300.0));
-  }
-  EXPECT_GT(hot, 2);
-  EXPECT_LT(hot, 18);
 }
 
 }  // namespace
